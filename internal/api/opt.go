@@ -14,8 +14,10 @@ type OptReport struct {
 	SaveRestoreRewrites int `json:"save_restore_rewrites"`
 
 	// Rounds counts analyze-transform iterations that performed work;
-	// Reanalyses counts the warm-start incremental re-analyses folding
-	// pass edits back into the summaries.
+	// Reanalyses counts the re-analyses actually run to fold pass edits
+	// back into the summaries. The final pass's edits are analyzed only
+	// when the caller keeps the result's analysis (/v1/optimize does),
+	// so `spike analyze -opt` can report one fewer for the same input.
 	Rounds     int `json:"rounds"`
 	Reanalyses int `json:"reanalyses"`
 

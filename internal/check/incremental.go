@@ -120,6 +120,13 @@ func compareAnalyses(c *collector, cfg diffConfig, desc string, inc, scratch *co
 		}
 	}
 
+	// The indirect-call summary is memoized per Analysis; the in-place
+	// leg reuses its input, so a stale memo would show here.
+	if ii, is := inc.IndirectCallSummary(), scratch.IndirectCallSummary(); ii != is {
+		c.addf("incremental-summaries", "", "%s: %s: indirect-call summary differs: incremental %+v vs scratch %+v",
+			cfg, desc, ii, is)
+	}
+
 	gi, gs := inc.PSG, scratch.PSG
 	if len(gi.Nodes) != len(gs.Nodes) || len(gi.Edges) != len(gs.Edges) {
 		c.addf("incremental-psg", "", "%s: %s: PSG shape differs: %d/%d nodes, %d/%d edges",

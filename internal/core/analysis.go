@@ -157,6 +157,12 @@ type Analysis struct {
 	// once per routine per Analysis.
 	livOnce []sync.Once
 	liv     []*dataflow.Liveness
+
+	// The indirect-call summary aggregates every address-taken
+	// routine's summary; every per-routine liveness solve reads it, so
+	// it is computed once per Analysis.
+	indOnce sync.Once
+	ind     CallSummary
 }
 
 // CallGraph returns the call graph the phases were scheduled on: use it
@@ -462,8 +468,15 @@ func (a *Analysis) CallSummaryFor(ri, e int) CallSummary {
 // IndirectCallSummary returns the summary to apply at an indirect call
 // site: the §3.5 calling-standard assumption, widened — under the
 // closed-world configuration — with the summaries of every
-// address-taken routine (any of them could be the target).
+// address-taken routine (any of them could be the target). It is
+// computed on first use and memoized; concurrent callers share one
+// computation.
 func (a *Analysis) IndirectCallSummary() CallSummary {
+	a.indOnce.Do(func() { a.ind = a.indirectCallSummary() })
+	return a.ind
+}
+
+func (a *Analysis) indirectCallSummary() CallSummary {
 	std := callstd.UnknownCallSummary()
 	cs := CallSummary{Used: std.Used, Defined: std.Defined, Killed: std.Killed}
 	if !a.Config.LinkIndirectCalls {

@@ -469,31 +469,34 @@ func (a *Analysis) assemblePSG(prev *Analysis, clean []bool, dirty []int, conf C
 		}
 	}
 
+	// Clean routines copy their exact ranges; a dirty routine reserves
+	// two edges per node, as a from-scratch build does.
 	nodeCap, edgeCap := 0, 0
 	for ri := range patched.Routines {
 		if clean[ri] {
 			nodeCap += int(oldNodeStart[ri+1] - oldNodeStart[ri])
 			edgeCap += int(oldEdgeStart[ri+1] - oldEdgeStart[ri])
-		} else {
-			g := graphs[ri]
-			nodeCap += len(g.EntryBlocks)
-			for _, b := range g.Blocks {
-				switch b.Term {
-				case cfg.TermExit, cfg.TermUnknownJump, cfg.TermMultiway:
-					nodeCap++
-				case cfg.TermCall:
-					nodeCap += 2
-				}
-			}
-			edgeCap += 64 // amortized growth covers the rest
+			continue
 		}
+		g := graphs[ri]
+		n := len(g.EntryBlocks)
+		for _, b := range g.Blocks {
+			switch b.Term {
+			case cfg.TermExit, cfg.TermUnknownJump, cfg.TermMultiway:
+				n++
+			case cfg.TermCall:
+				n += 2
+			}
+		}
+		nodeCap += n
+		edgeCap += 2 * n
 	}
 
 	g := &PSG{
 		Prog:        patched,
 		Graphs:      graphs,
 		Nodes:       make([]Node, 0, nodeCap),
-		Edges:       make([]Edge, 0, nodeCap*2+edgeCap),
+		Edges:       make([]Edge, 0, edgeCap),
 		EntryNodes:  make([][]int, nNew),
 		ExitNodes:   make([][]int, nNew),
 		CallerEdges: make([][][]int, nNew),

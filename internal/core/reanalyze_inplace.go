@@ -412,6 +412,7 @@ func reanalyzeInPlace(ctx context.Context, conf Config, prev *Analysis, patched 
 	a.Incremental = inc
 	a.livOnce = make([]sync.Once, nNew)
 	a.liv = make([]*dataflow.Liveness, nNew)
+	a.indOnce = sync.Once{}
 	asp.Arg("resolved_components", int64(inc.ResolvedComponents)).
 		Arg("reused_components", int64(inc.ReusedComponents))
 	a.publishMetrics(wlGets0, wlNews0, lbGets0, lbNews0, duGets0, duNews0)

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
+	"repro/internal/prog"
 	"repro/internal/progen"
 )
 
@@ -171,4 +173,37 @@ func TestReanalyzeInPlaceConfigMismatch(t *testing.T) {
 	if _, err := ReanalyzeInPlace(prev, mutant, WithClosedWorld()); err != nil {
 		t.Fatalf("matching options after mismatch: %v", err)
 	}
+}
+
+// TestReanalyzeInPlaceResetsIndirectCallSummary: the indirect-call
+// summary is memoized per Analysis, and the in-place path returns its
+// input, so it must drop the memo when an edit moves an address-taken
+// routine's summary.
+func TestReanalyzeInPlaceResetsIndirectCallSummary(t *testing.T) {
+	base := prog.MustAssemble(nonConformantSrc)
+	patched := prog.MustAssemble(strings.Replace(nonConformantSrc, "print t5", "print t6", 1))
+	prev, err := Analyze(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := prev.IndirectCallSummary() // memoize
+	inc, err := ReanalyzeInPlace(prev, patched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inc != prev {
+		t.Fatal("edit was not applied in place; the test needs the in-place path")
+	}
+	scratch, err := Analyze(patched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := scratch.IndirectCallSummary()
+	if want == before {
+		t.Fatal("edit did not move the indirect-call summary")
+	}
+	if got := inc.IndirectCallSummary(); got != want {
+		t.Errorf("indirect-call summary after in-place edit = %+v, want %+v", got, want)
+	}
+	checkSameAnalysis(t, inc, scratch)
 }

@@ -194,6 +194,18 @@ func (lv *Liveness) LiveAfter(instr int) regset.Set {
 	return live
 }
 
+// EachLiveAfter calls fn(i, LiveAfter(i)) for every instruction i of
+// block b, last instruction first, in one backward pass over the
+// block: a whole-block scan costs O(block) rather than the O(block²)
+// of calling LiveAfter per instruction.
+func (lv *Liveness) EachLiveAfter(b *cfg.Block, fn func(instr int, after regset.Set)) {
+	live := lv.Out[b.ID]
+	for i := b.End - 1; i >= b.Start; i-- {
+		fn(i, live)
+		live = lv.opts.instrXfer(&lv.graph.Routine.Code[i], live)
+	}
+}
+
 // LiveBefore returns the set of registers live immediately before the
 // instruction at index instr of the routine.
 func (lv *Liveness) LiveBefore(instr int) regset.Set {

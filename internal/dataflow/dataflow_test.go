@@ -7,6 +7,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/isa"
 	"repro/internal/prog"
+	"repro/internal/progen"
 	"repro/internal/regset"
 )
 
@@ -256,5 +257,46 @@ func TestWorklistBasics(t *testing.T) {
 	}
 	if !w.Empty() {
 		t.Error("worklist should be empty")
+	}
+}
+
+// TestEachLiveAfterMatchesLiveAfter requires the one-pass backward block
+// sweep to report, at every instruction of the 16 generated Table 2
+// profiles, exactly the set LiveAfter rescans for — under the calling
+// standard and with exits seeded from a live-at-exit set.
+func TestEachLiveAfterMatchesLiveAfter(t *testing.T) {
+	exitLive := callstd.Return.Union(callstd.CalleeSaved)
+	for pi, prof := range progen.Profiles {
+		p := progen.Generate(prof.Scale(0.01), progen.PaperOptOptions(uint64(pi)+1))
+		checked := 0
+		for ri := range p.Routines {
+			g := cfg.Build(p, ri)
+			for _, lv := range []*Liveness{
+				ComputeLiveness(g),
+				ComputeLiveness(g, WithExitLiveOut(func(*cfg.Block) regset.Set { return exitLive })),
+			} {
+				for _, b := range g.Blocks {
+					next := b.End - 1
+					lv.EachLiveAfter(b, func(i int, after regset.Set) {
+						if i != next {
+							t.Fatalf("%s: %s block %d: visited instruction %d, want %d",
+								prof.Name, p.Routines[ri].Name, b.ID, i, next)
+						}
+						next--
+						if want := lv.LiveAfter(i); after != want {
+							t.Fatalf("%s: %s instruction %d: sweep %v, LiveAfter %v",
+								prof.Name, p.Routines[ri].Name, i, after, want)
+						}
+						checked++
+					})
+					if next != b.Start-1 {
+						t.Fatalf("%s: %s block %d: sweep stopped at %d", prof.Name, p.Routines[ri].Name, b.ID, next+1)
+					}
+				}
+			}
+		}
+		if checked == 0 {
+			t.Fatalf("%s: no instructions checked", prof.Name)
+		}
 	}
 }

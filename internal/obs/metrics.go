@@ -130,10 +130,10 @@ func (c *Counter) Value() uint64 {
 // Histogram accumulates a distribution of uint64 observations in
 // power-of-two buckets (bucket k counts values whose bit length is k,
 // i.e. the range [2^(k-1), 2^k-1]; bucket 0 counts zeros), plus exact
-// count/sum/min/max. A nil *Histogram no-ops.
+// count/sum/min/max. The count is the sum of the buckets. A nil
+// *Histogram no-ops.
 type Histogram struct {
 	name    string
-	count   atomic.Uint64
 	sum     atomic.Uint64
 	min     uint64 // min, max guarded by mmu
 	max     uint64
@@ -146,9 +146,9 @@ func (h *Histogram) Observe(v uint64) {
 	if h == nil {
 		return
 	}
-	h.count.Add(1)
+	// The bucket is bumped last, so a snapshot that sees the
+	// observation in a bucket also sees it in sum, min and max.
 	h.sum.Add(v)
-	h.buckets[bits.Len64(v)].Add(1)
 	h.mmu.Lock()
 	if v < h.min {
 		h.min = v
@@ -157,6 +157,7 @@ func (h *Histogram) Observe(v uint64) {
 		h.max = v
 	}
 	h.mmu.Unlock()
+	h.buckets[bits.Len64(v)].Add(1)
 }
 
 // CounterValue is one counter in a snapshot.
@@ -219,34 +220,40 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	m.mu.Unlock()
 
-	for _, c := range counters {
-		s.Counters = append(s.Counters, CounterValue{
-			Name: c.name, Value: c.v.Load(), Unstable: c.unstable, Gauge: c.gauge,
-		})
-	}
-	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-
+	// Histograms are read before counters: a recording site that bumps
+	// a counter before observing the matching histogram (serve's
+	// requests/latency pair) then never shows more observations than
+	// counted events. Count is the sum of the same bucket loads, so a
+	// Prometheus _count always equals its cumulative +Inf bucket.
 	for _, h := range histograms {
-		hv := HistogramValue{Name: h.name, Count: h.count.Load(), Sum: h.sum.Load()}
-		h.mmu.Lock()
-		hv.Min, hv.Max = h.min, h.max
-		h.mmu.Unlock()
-		if hv.Count == 0 {
-			hv.Min = 0
-		}
+		hv := HistogramValue{Name: h.name}
 		for k := range h.buckets {
 			n := h.buckets[k].Load()
 			if n == 0 {
 				continue
 			}
+			hv.Count += n
 			le := ^uint64(0)
 			if k < 64 {
 				le = (uint64(1) << uint(k)) - 1
 			}
 			hv.Buckets = append(hv.Buckets, Bucket{Le: le, Count: n})
 		}
+		hv.Sum = h.sum.Load()
+		h.mmu.Lock()
+		hv.Min, hv.Max = h.min, h.max
+		h.mmu.Unlock()
+		if hv.Count == 0 {
+			hv.Min = 0
+		}
 		s.Histograms = append(s.Histograms, hv)
 	}
+	for _, c := range counters {
+		s.Counters = append(s.Counters, CounterValue{
+			Name: c.name, Value: c.v.Load(), Unstable: c.unstable, Gauge: c.gauge,
+		})
+	}
+	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
 }

@@ -12,8 +12,9 @@ import (
 )
 
 // TestSummarizedFormLivenessMatches cross-validates the §2 machinery two
-// independent ways: the interprocedural liveness computed by opt.Liveness
-// (analysis summaries plugged into the dataflow options) must equal
+// independent ways: the interprocedural liveness the dead-code pass
+// solves (core.Analysis.SolveRoutineLiveness: analysis summaries
+// plugged into the dataflow options) must equal
 // plain *intraprocedural* liveness over the Summarize()d program, where
 // the same summaries live inside entry/exit/call-summary
 // pseudo-instructions. Any disagreement means the two §2 encodings have
@@ -27,7 +28,7 @@ func TestSummarizedFormLivenessMatches(t *testing.T) {
 		}
 		s := Summarize(a)
 		for ri := range p.Routines {
-			direct := Liveness(a, ri)
+			direct := a.SolveRoutineLiveness(ri)
 			// Intraprocedural liveness on the summarized routine: the
 			// pseudo-instructions carry all interprocedural facts.
 			sg := cfg.Build(s, ri)

@@ -3,7 +3,8 @@ package opt
 import (
 	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/prog"
+	"repro/internal/par"
+	"repro/internal/regset"
 )
 
 // isPure reports whether an instruction's only effect is writing its
@@ -25,104 +26,49 @@ func isPure(in *isa.Instr) bool {
 // eliminateDeadCode replaces dead pure instructions with nops in the
 // edit set, using the interprocedural liveness of the analysis (Figure
 // 1(a)/(b)) — or, with conservative set, only the intraprocedural
-// liveness a traditional compiler could compute. Routines are
-// independent (each consults only its own liveness solution), so the
-// work fans out over the call graph's wave schedule; per-routine counts
-// are summed in routine order, making the result identical at any
-// worker count. The caller compacts the nops away and re-analyzes.
+// liveness a traditional compiler could compute. Each routine consults
+// only its own liveness solution, so routines fan out over the worker
+// pool; per-routine counts are summed in routine order, making the
+// result identical at any worker count. The caller compacts the nops
+// away and re-analyzes.
 func eliminateDeadCode(a *core.Analysis, e *editSet, conservative bool, workers int) int {
-	cg := a.CallGraph()
 	counts := make([]int, len(a.Prog.Routines))
-	forEachComponentWave(cg, workers, func(c int) {
-		for _, ri := range cg.Members(c) {
-			counts[ri] = deadCodeRoutine(a, e, ri, conservative)
-		}
+	par.ForEach(len(counts), workers, func(ri int) {
+		counts[ri] = deadCodeRoutine(a, e, ri, conservative)
 	})
-	deleted := 0
-	for _, n := range counts {
-		deleted += n
-	}
-	return deleted
+	return sum(counts)
 }
 
+// deadCodeRoutine walks each block of routine ri backward once, from
+// the block's live-out set, deleting every pure instruction whose
+// definitions are dead after it.
 func deadCodeRoutine(a *core.Analysis, e *editSet, ri int, conservative bool) int {
-	r := a.Prog.Routines[ri]
-	lv := Liveness(a, ri)
+	code := a.Prog.Routines[ri].Code
+	lv := a.SolveRoutineLiveness(ri)
 	if conservative {
 		lv = ConservativeLiveness(a, ri)
 	}
 	deleted := 0
-	for i := range r.Code {
-		in := &r.Code[i]
-		if !isPure(in) {
-			continue
-		}
-		defs := in.Defs()
-		if defs.IsEmpty() {
-			continue
-		}
-		if defs.Intersects(lv.LiveAfter(i)) {
-			continue
-		}
-		e.routine(ri).Code[i] = isa.Nop()
-		deleted++
+	for _, b := range a.Graphs[ri].Blocks {
+		lv.EachLiveAfter(b, func(i int, after regset.Set) {
+			in := &code[i]
+			if !isPure(in) {
+				return
+			}
+			if defs := in.Defs(); defs.IsEmpty() || defs.Intersects(after) {
+				return
+			}
+			e.routine(ri).Code[i] = isa.Nop()
+			deleted++
+		})
 	}
 	return deleted
 }
 
-// Compact removes every nop from the program, remapping branch targets,
-// jump tables, routine entries and code-address immediates (function
-// pointers and computed-goto targets carry the prog.AddrTag bit).
-func Compact(p *prog.Program) int {
-	removed := 0
-	// newIndex[ri][i] is instruction i's new index in routine ri; a
-	// deleted instruction maps to the next surviving one.
-	newIndex := make([][]int, len(p.Routines))
-	for ri, r := range p.Routines {
-		idx := make([]int, len(r.Code)+1)
-		n := 0
-		for i := range r.Code {
-			idx[i] = n
-			if r.Code[i].Op != isa.OpNop {
-				n++
-			}
-		}
-		idx[len(r.Code)] = n
-		// Deleted instructions map forward: recompute as "index of
-		// next survivor", which idx already encodes because a nop does
-		// not advance n.
-		newIndex[ri] = idx
-		removed += len(r.Code) - n
+func sum(counts []int) int {
+	total := 0
+	for _, n := range counts {
+		total += n
 	}
-	if removed == 0 {
-		return 0
-	}
-	for ri, r := range p.Routines {
-		idx := newIndex[ri]
-		var out []isa.Instr
-		for i := range r.Code {
-			if r.Code[i].Op == isa.OpNop {
-				continue
-			}
-			in := r.Code[i]
-			if in.Op.IsBranch() && in.Op != isa.OpJmp {
-				in.Target = idx[in.Target]
-			}
-			if tri, tinstr, ok := prog.DecodeAddr(in.Imm); ok && in.Op == isa.OpLda &&
-				tri < len(newIndex) && tinstr < len(newIndex[tri]) {
-				in.Imm = prog.CodeAddr(tri, newIndex[tri][tinstr])
-			}
-			out = append(out, in)
-		}
-		r.Code = out
-		for ti := range r.Tables {
-			for k := range r.Tables[ti] {
-				r.Tables[ti][k] = idx[r.Tables[ti][k]]
-			}
-		}
-		for e := range r.Entries {
-			r.Entries[e] = idx[r.Entries[e]]
-		}
-	}
-	return removed
+	return total
 }

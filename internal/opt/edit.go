@@ -1,9 +1,7 @@
 package opt
 
 import (
-	"repro/internal/callgraph"
 	"repro/internal/isa"
-	"repro/internal/par"
 	"repro/internal/prog"
 )
 
@@ -30,8 +28,8 @@ func newEditSet(base *prog.Program) *editSet {
 
 // routine returns a writable clone of routine ri, cloning on first use.
 // Distinct routines may be requested from concurrent workers: each
-// index is written by at most one goroutine (a routine belongs to
-// exactly one call-graph component), so the slice writes never race.
+// index is written by at most one goroutine (the passes hand each
+// routine to exactly one worker), so the slice writes never race.
 func (e *editSet) routine(ri int) *prog.Routine {
 	if !e.dirty[ri] {
 		e.out.Routines[ri] = e.base.Routines[ri].Clone()
@@ -40,13 +38,27 @@ func (e *editSet) routine(ri int) *prog.Routine {
 	return e.out.Routines[ri]
 }
 
+// Compact removes every nop from the program in place, remapping
+// branch targets, jump tables, routine entries and code-address
+// immediates (function pointers and computed-goto targets carry the
+// prog.AddrTag bit). It returns the number of instructions removed.
+func Compact(p *prog.Program) int {
+	// An edit set over p itself with every routine already "cloned":
+	// compact then rewrites p's own routines.
+	e := &editSet{base: p, out: p, dirty: make([]bool, len(p.Routines))}
+	for ri := range e.dirty {
+		e.dirty[ri] = true
+	}
+	return e.compact()
+}
+
 // compact removes the nops a pass left in its edited routines,
 // remapping branch targets, jump tables, entries and cross-routine
-// code-address immediates exactly like Compact — but scoped to the
-// edit set, so untouched routines keep their pointer identity. A clean
-// routine is cloned only when it holds a code-address immediate into a
-// routine whose instruction indices shifted. Returns the number of
-// instructions removed.
+// code-address immediates — scoped to the edit set, so untouched
+// routines keep their pointer identity. A clean routine is cloned only
+// when it holds a code-address immediate into a routine whose
+// instruction indices shifted. Returns the number of instructions
+// removed.
 func (e *editSet) compact() int {
 	// shifted[ri] is the old→new index map of a compacted routine, nil
 	// when ri's indices did not move.
@@ -70,7 +82,9 @@ func (e *editSet) compact() int {
 		}
 		removed += len(r.Code) - n
 		shifted[ri] = idx
-		out := make([]isa.Instr, 0, n)
+		// The routine is writable (a private clone, or Compact's own
+		// program): filter in place.
+		out := r.Code[:0]
 		for i := range r.Code {
 			if r.Code[i].Op == isa.OpNop {
 				continue
@@ -120,19 +134,4 @@ func (e *editSet) compact() int {
 		}
 	}
 	return removed
-}
-
-// forEachComponentWave runs fn once per call-graph component, wave by
-// callee-first wave, fanning each wave over the worker pool. Components
-// within one wave cannot reach each other through calls (every callee
-// lies in a strictly earlier wave), so per-component work is
-// independent and the schedule is deterministic: cross-wave state is
-// published only at the barrier between waves.
-func forEachComponentWave(cg *callgraph.Graph, workers int, fn func(c int)) {
-	for _, wave := range cg.CalleeFirstWaves() {
-		wave := wave
-		par.ForEach(len(wave), workers, func(wi int) {
-			fn(wave[wi])
-		})
-	}
 }

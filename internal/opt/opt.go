@@ -28,8 +28,11 @@ type Report struct {
 	// anything.
 	Rounds int
 
-	// Reanalyses counts the warm-start incremental re-analyses that
-	// kept the summaries consistent with the edits between passes.
+	// Reanalyses counts the re-analyses actually run to keep the
+	// summaries consistent with the edits between passes. The edits of
+	// the final pass are analyzed only when the caller asks for the
+	// result's analysis, so Optimize can report one fewer than
+	// OptimizeAnalyzed on the same input.
 	Reanalyses int
 
 	// InstructionsBefore and InstructionsAfter measure static code
@@ -100,19 +103,29 @@ func CompilerOptions() Options {
 // against summaries consistent with the current code: the program is
 // analyzed once, and every pass's edit set is folded back in with a
 // warm-start incremental re-analysis (core.Reanalyze), so a round costs
-// O(edits) rather than O(program). The passes themselves fan out over
-// the call graph's condensation waves; the result is byte-identical at
-// any Analysis.Parallelism.
+// O(edits) rather than O(program). A re-analysis runs only when a pass
+// is about to read it: the edits of the last pass that changed code are
+// returned unanalyzed. Routines are rewritten independently on the
+// worker pool (the save/restore pass in callee-first call-graph waves);
+// the result is byte-identical at any Analysis.Parallelism.
 func Optimize(p *prog.Program, opts Options) (*prog.Program, *Report, error) {
-	out, _, rep, err := OptimizeAnalyzed(p, opts)
+	out, _, rep, err := optimize(p, opts, false)
 	return out, rep, err
 }
 
 // OptimizeAnalyzed is Optimize, additionally returning the converged
 // analysis of the optimized program — the warm-start loop's final
 // state, which is exactly what a from-scratch analysis of the result
-// would produce. Servers cache it instead of re-solving.
+// would produce. Servers cache it instead of re-solving. Settling the
+// final edits costs one re-analysis Optimize skips, so its
+// Report.Reanalyses can exceed Optimize's by one.
 func OptimizeAnalyzed(p *prog.Program, opts Options) (*prog.Program, *core.Analysis, *Report, error) {
+	return optimize(p, opts, true)
+}
+
+// optimize runs the analyze-transform loop. With analyzeResult false
+// the returned analysis is nil whenever the last pass changed code.
+func optimize(p *prog.Program, opts Options, analyzeResult bool) (*prog.Program, *core.Analysis, *Report, error) {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = 4
 	}
@@ -128,6 +141,22 @@ func OptimizeAnalyzed(p *prog.Program, opts Options) (*prog.Program, *core.Analy
 	a, err := core.Analyze(cur, core.WithConfig(opts.Analysis))
 	if err != nil {
 		return nil, nil, nil, err
+	}
+	// pending is the compacted output of the last pass that changed
+	// code, not yet analyzed; settle folds it into a.
+	var pending *prog.Program
+	settle := func() error {
+		if pending == nil {
+			return nil
+		}
+		if opts.NoWarmStart {
+			a, err = core.Analyze(pending, core.WithConfig(opts.Analysis))
+		} else {
+			a, err = core.Reanalyze(a, pending, core.WithConfig(opts.Analysis))
+		}
+		pending = nil
+		rep.Reanalyses++
+		return err
 	}
 
 	// Pass order matters: the save/restore reassignment (d) and spill
@@ -161,6 +190,9 @@ func OptimizeAnalyzed(p *prog.Program, opts Options) (*prog.Program, *core.Analy
 			if !ps.enabled {
 				continue
 			}
+			if err := settle(); err != nil {
+				return nil, nil, nil, err
+			}
 			e := newEditSet(a.Prog)
 			n := ps.run(a, e)
 			if n == 0 {
@@ -170,22 +202,22 @@ func OptimizeAnalyzed(p *prog.Program, opts Options) (*prog.Program, *core.Analy
 			changed += n
 			m.Counter(ps.counter).Add(uint64(n))
 			e.compact()
-			if opts.NoWarmStart {
-				a, err = core.Analyze(e.out, core.WithConfig(opts.Analysis))
-			} else {
-				a, err = core.Reanalyze(a, e.out, core.WithConfig(opts.Analysis))
-			}
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			rep.Reanalyses++
+			pending = e.out
 		}
 		if changed == 0 {
 			break
 		}
 		rep.Rounds++
 	}
+	if analyzeResult {
+		if err := settle(); err != nil {
+			return nil, nil, nil, err
+		}
+	}
 	out := a.Prog
+	if pending != nil {
+		out, a = pending, nil
+	}
 	if err := out.Validate(); err != nil {
 		return nil, nil, nil, fmt.Errorf("opt: produced invalid program: %w", err)
 	}

@@ -66,11 +66,7 @@ func reassignCalleeSaved(a *core.Analysis, e *editSet, workers int) int {
 			killsThrough[c] = kt
 		}
 	}
-	total := 0
-	for _, n := range rewrites {
-		total += n
-	}
-	return total
+	return sum(rewrites)
 }
 
 // reassignRoutine rewrites as many of routine ri's saved/restored

@@ -5,6 +5,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/par"
 	"repro/internal/regset"
 )
 
@@ -26,23 +27,15 @@ import (
 // routine accesses the slot, so removing the store cannot change any
 // other load.
 //
-// Each routine consults only its own CFG and call summaries, so the
-// pass fans out over the call graph's wave schedule; per-routine counts
-// are summed in routine order, making the result identical at any
-// worker count.
+// Each routine consults only its own CFG and call summaries, so
+// routines fan out over the worker pool; per-routine counts are summed
+// in routine order, making the result identical at any worker count.
 func removeCallSpills(a *core.Analysis, e *editSet, workers int) int {
-	cg := a.CallGraph()
 	counts := make([]int, len(a.Prog.Routines))
-	forEachComponentWave(cg, workers, func(c int) {
-		for _, ri := range cg.Members(c) {
-			counts[ri] = spillRoutine(a, e, ri)
-		}
+	par.ForEach(len(counts), workers, func(ri int) {
+		counts[ri] = spillRoutine(a, e, ri)
 	})
-	removed := 0
-	for _, n := range counts {
-		removed += n
-	}
-	return removed
+	return sum(counts)
 }
 
 func spillRoutine(a *core.Analysis, e *editSet, ri int) int {

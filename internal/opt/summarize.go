@@ -25,17 +25,6 @@ import (
 	"repro/internal/regset"
 )
 
-// Liveness computes interprocedurally precise per-instruction liveness
-// for routine ri: direct calls use the analysis's call summaries, and
-// exit blocks are seeded with the live-at-exit sets (§2's summarized
-// form, realized as dataflow options instead of instruction rewriting so
-// instruction indices stay stable). It solves fresh on every call —
-// the optimizer rewrites code between queries — unlike the memoized
-// core.Analysis.RoutineLiveness the query service uses.
-func Liveness(a *core.Analysis, ri int) *dataflow.Liveness {
-	return a.SolveRoutineLiveness(ri)
-}
-
 // ConservativeLiveness computes the per-instruction liveness a
 // traditional compiler could justify without whole-program knowledge:
 // every call is assumed to follow the calling standard, and at every
