@@ -92,13 +92,14 @@ serve-smoke:
 	$(GO) run ./cmd/spiked -smoke examples/fig2.s
 
 # Observability overhead guard: vet plus the tests proving disabled
-# tracing/metrics cost zero allocations and the telemetry is
-# deterministic. CI runs this as its own step so an obs regression is
-# named in the failure, not buried in the full suite.
+# tracing/metrics cost zero allocations, cached reads stay within their
+# allocation budgets, and the telemetry is deterministic. CI runs this
+# as its own step so an obs regression is named in the failure, not
+# buried in the full suite.
 obs-guard:
 	$(GO) vet ./...
-	$(GO) test ./internal/obs/ ./internal/core/ \
-		-run 'TestAllocationBudget|TestAnalyzeAllocationBudget|TestPSGBuildAllocationBudget|TestPhasesAllocationBudget|TestDisabledObsAllocParity|TestMetricsDeterminism|TestAnalyzeTracing|TestNilObserverZeroAlloc|TestNilRequestObserverZeroAlloc|TestAnalyzeRequestSpans' -v
+	$(GO) test ./internal/obs/ ./internal/core/ ./internal/serve/ \
+		-run 'TestAllocationBudget|TestAnalyzeAllocationBudget|TestPSGBuildAllocationBudget|TestPhasesAllocationBudget|TestDisabledObsAllocParity|TestMetricsDeterminism|TestAnalyzeTracing|TestNilObserverZeroAlloc|TestNilRequestObserverZeroAlloc|TestAnalyzeRequestSpans|TestCachedReadAllocBudget' -v
 
 # Correctness soak: the internal/check harness — differential runner
 # across the option matrix, PSG invariant checker, emulator-backed
@@ -118,6 +119,7 @@ soak-ci:
 	$(GO) test ./internal/check/ -run '^$$' -fuzz FuzzSavedRestored -fuzztime 30s -count=1
 	$(GO) test ./internal/check/ -run '^$$' -fuzz FuzzLabeling -fuzztime 30s -count=1
 	$(GO) test ./internal/snapshot/ -run '^$$' -fuzz FuzzSnapshot -fuzztime 30s -count=1
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzIndent -fuzztime 30s -count=1
 
 # Incremental re-analysis soak: the incremental oracle alone, over
 # CHECK_INCR_N (program, mutation) pairs — every Reanalyze result is

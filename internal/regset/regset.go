@@ -153,8 +153,18 @@ func (r Reg) IsFloat() bool { return r >= 32 && r < NumRegs }
 // Valid reports whether r names an architectural register.
 func (r Reg) Valid() bool { return r < NumRegs }
 
-// String returns the software name of the register (e.g. "v0", "t3", "f12").
-func (r Reg) String() string {
+// regNames holds the software name of every architectural register,
+// built once so that rendering a register never formats.
+var regNames = func() (names [NumRegs]string) {
+	for r := Reg(0); r < NumRegs; r++ {
+		names[r] = regName(r)
+	}
+	return names
+}()
+
+// regName derives a register's software name from the Alpha/NT
+// calling-convention layout. Valid registers read it from regNames.
+func regName(r Reg) string {
 	switch {
 	case r == Zero:
 		return "zero"
@@ -187,6 +197,15 @@ func (r Reg) String() string {
 	default:
 		return fmt.Sprintf("r?%d", uint8(r))
 	}
+}
+
+// String returns the software name of the register (e.g. "v0", "t3",
+// "f12"); an invalid register renders as "r?N".
+func (r Reg) String() string {
+	if r < NumRegs {
+		return regNames[r]
+	}
+	return regName(r)
 }
 
 // ParseReg converts a software register name (as produced by Reg.String,
@@ -341,9 +360,6 @@ func (s Set) Intersect(t Set) Set { return s & t }
 // Minus returns s − t, the registers in s that are not in t.
 func (s Set) Minus(t Set) Set { return s &^ t }
 
-// SymmetricDiff returns the registers in exactly one of s and t.
-func (s Set) SymmetricDiff(t Set) Set { return s ^ t }
-
 // IsEmpty reports whether s contains no registers.
 func (s Set) IsEmpty() bool { return s == 0 }
 
@@ -383,22 +399,23 @@ func (s Set) Pick() Reg {
 }
 
 // String renders the set in the paper's notation, e.g. "{v0, t1, f4}".
+// The names are appended into a stack buffer, so a set costs the one
+// allocation of its result string.
 func (s Set) String() string {
 	if s == 0 {
 		return "{}"
 	}
-	var b strings.Builder
-	b.WriteByte('{')
-	first := true
-	s.ForEach(func(r Reg) {
-		if !first {
-			b.WriteString(", ")
+	// 64 names of at most 5 bytes plus ", " separators fit in 512.
+	var buf [512]byte
+	b := append(buf[:0], '{')
+	for v := uint64(s); v != 0; v &= v - 1 {
+		if len(b) > 1 {
+			b = append(b, ", "...)
 		}
-		first = false
-		b.WriteString(r.String())
-	})
-	b.WriteByte('}')
-	return b.String()
+		b = append(b, regNames[bits.TrailingZeros64(v)]...)
+	}
+	b = append(b, '}')
+	return string(b)
 }
 
 // ParseSet parses the notation produced by Set.String. The empty set may be

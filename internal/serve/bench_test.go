@@ -134,8 +134,8 @@ func BenchmarkServeLiveness(b *testing.B) {
 	driveRequests(b, c, "/v1/liveness", api.LivenessRequest{Program: id, Routine: "main", Instr: 0})
 }
 
-// BenchmarkServeBatch fans 32 mixed queries per request over the
-// worker pool.
+// BenchmarkServeBatch answers 32 mixed queries per request from one
+// cached analysis.
 func BenchmarkServeBatch(b *testing.B) {
 	_, c, id, _ := benchServer(b, Config{})
 	queries := make([]api.Query, 0, 32)

@@ -20,7 +20,7 @@ func RunCLI(name string, args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		addr     = fs.String("addr", "localhost:8723", "listen `address`")
-		parallel = fs.Int("parallel", 0, "solver and batch worker count (0 = GOMAXPROCS)")
+		parallel = fs.Int("parallel", 0, "analysis solver worker count (0 = GOMAXPROCS)")
 		maxProg  = fs.Int("max-programs", DefaultMaxPrograms, "program cache capacity (entries)")
 		maxAna   = fs.Int("max-analyses", DefaultMaxAnalyses, "analysis cache capacity (entries)")
 		smoke    = fs.String("smoke", "", "self-test: load `program`, drive the query surface in-process, exit")

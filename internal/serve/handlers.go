@@ -6,7 +6,6 @@ import (
 	"net/http"
 
 	"repro/internal/api"
-	"repro/internal/par"
 )
 
 func (s *Server) handleLoad(r *http.Request) (int, any) {
@@ -60,7 +59,7 @@ func (s *Server) handleSummary(r *http.Request) (int, any) {
 	return http.StatusOK, api.SummaryResponse{
 		SchemaVersion: api.SchemaVersion,
 		Program:       lp.id,
-		Summary:       api.SummaryOf(ent.a, ri),
+		Summary:       ent.doc.Routines[ri],
 	}
 }
 
@@ -153,13 +152,13 @@ func (s *Server) handleBatch(r *http.Request) (int, any) {
 	if err != nil {
 		return errResp(status, "%v", err)
 	}
-	// One analysis, many answers: the queries fan out on the bounded
-	// pool, each writing its own pre-sized slot, so the response order
-	// matches the request and is independent of scheduling.
+	// One analysis, many answers, in request order. Every answer is a
+	// lookup in the frozen document or the memoized liveness, so a
+	// plain loop beats any fan-out.
 	results := make([]api.QueryResult, len(req.Queries))
-	par.ForEach(len(req.Queries), s.batchWorkers(), func(i int) {
+	for i := range req.Queries {
 		results[i] = answerQuery(lp, ent, &req.Queries[i])
-	})
+	}
 	return http.StatusOK, api.BatchResponse{
 		SchemaVersion: api.SchemaVersion,
 		Program:       lp.id,
@@ -177,8 +176,7 @@ func answerQuery(lp *loadedProgram, ent *analysisEntry, q *api.Query) api.QueryR
 	}
 	switch q.Kind {
 	case "summary":
-		sum := api.SummaryOf(ent.a, ri)
-		res.Summary = &sum
+		res.Summary = &ent.doc.Routines[ri]
 	case "liveness":
 		pt, err := api.LivenessPointOf(ent.a, ri, q.Instr)
 		if err != nil {

@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/prog"
 	"repro/internal/sxe"
 )
@@ -55,8 +54,8 @@ type Config struct {
 	// listener or via Handler.
 	Addr string
 
-	// Parallelism bounds the analysis solver workers and the batch
-	// query fan-out; <= 0 selects GOMAXPROCS.
+	// Parallelism bounds the analysis solver workers; <= 0 selects
+	// GOMAXPROCS.
 	Parallelism int
 
 	// MaxPrograms and MaxAnalyses bound the two LRU caches (entries,
@@ -283,6 +282,24 @@ type rawResponse struct {
 	data        []byte
 }
 
+// replyBuf is one reply's encoding scratch: the compact encoding and
+// its indented form. Buffers are pooled across requests, except ones
+// grown past maxPooledReply — analysis and patch documents run to
+// hundreds of kilobytes, and keeping those alive would pin that much
+// memory per pooled buffer for the benefit of rare large replies.
+type replyBuf struct {
+	compact bytes.Buffer
+	out     []byte
+}
+
+const maxPooledReply = 64 << 10
+
+var replyBufs = sync.Pool{New: func() any { return new(replyBuf) }}
+
+// writeJSON writes v as the reply body. The bytes are those of
+// json.MarshalIndent(v, "", "  ") plus a newline; they are produced by
+// a compact encode and one pass of appendIndented, which costs a
+// fraction of MarshalIndent's per-byte re-scan.
 func (s *Server) writeJSON(w http.ResponseWriter, route string, status int, v any) {
 	if raw, ok := v.(rawResponse); ok {
 		w.Header().Set("Content-Type", raw.contentType)
@@ -290,8 +307,15 @@ func (s *Server) writeJSON(w http.ResponseWriter, route string, status int, v an
 		w.Write(raw.data)
 		return
 	}
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
+	rb := replyBufs.Get().(*replyBuf)
+	defer func() {
+		if rb.compact.Cap() <= maxPooledReply && cap(rb.out) <= maxPooledReply {
+			replyBufs.Put(rb)
+		}
+	}()
+	rb.compact.Reset()
+	var data []byte
+	if err := json.NewEncoder(&rb.compact).Encode(v); err != nil {
 		// An unencodable document is a server bug: count it, log the
 		// first occurrence per route (every occurrence after the first
 		// is the same bug), and degrade to a well-formed error reply.
@@ -301,12 +325,18 @@ func (s *Server) writeJSON(w http.ResponseWriter, route string, status int, v an
 			log.Printf("serve: %s: response encode failed: %v", route, err)
 		})
 		status = http.StatusInternalServerError
-		data = []byte(fmt.Sprintf(`{"schema_version":%q,"error":"encode: %s"}`,
+		data = []byte(fmt.Sprintf(`{"schema_version":%q,"error":"encode: %s"}`+"\n",
 			api.SchemaVersion, err))
+	} else {
+		// Encode ends the compact form with a newline; the reply ends
+		// with one after the indented form instead.
+		compact := bytes.TrimSuffix(rb.compact.Bytes(), []byte{'\n'})
+		rb.out = append(appendIndented(rb.out[:0], compact), '\n')
+		data = rb.out
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(append(data, '\n'))
+	w.Write(data)
 }
 
 // errResp builds an error reply stamped spike.v1 (the v1 endpoints);
@@ -467,6 +497,3 @@ func (lp *loadedProgram) routineIndex(name string) (int, error) {
 	}
 	return ri, nil
 }
-
-// batchWorkers bounds the batch fan-out.
-func (s *Server) batchWorkers() int { return par.Workers(s.conf.Parallelism) }

@@ -155,22 +155,41 @@ func TestEndpointsGolden(t *testing.T) {
 		Body   json.RawMessage `json:"body"`
 	}
 	var log []exchange
-	record := func(name string, status int, body []byte) {
+	// record pins each reply's whitespace before the golden re-indents
+	// it: the raw body must be the two-space indentation of its compact
+	// form plus a newline, byte for byte. normalize zeroes the timing
+	// fields of analysis documents after that check.
+	record := func(name string, status int, body []byte, normalize bool) {
+		t.Helper()
+		var compact, want bytes.Buffer
+		if err := json.Compact(&compact, body); err != nil {
+			t.Fatalf("%s: reply is not JSON: %v", name, err)
+		}
+		if err := json.Indent(&want, compact.Bytes(), "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		want.WriteByte('\n')
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Errorf("%s: reply whitespace differs from json.Indent of its compact form:\n got:\n%s\nwant:\n%s", name, body, want.Bytes())
+		}
+		if normalize {
+			body = normalizeNs(t, body)
+		}
 		log = append(log, exchange{Name: name, Status: status, Body: json.RawMessage(bytes.TrimRight(body, "\n"))})
 	}
 
 	status, body := c.post("/v1/programs", api.LoadRequest{Asm: testSrc})
-	record("programs", status, body)
+	record("programs", status, body, false)
 	status, body = c.post("/v1/summary", api.SummaryRequest{Program: id, Routine: "double"})
-	record("summary", status, body)
+	record("summary", status, body, false)
 	status, body = c.post("/v1/liveness", api.LivenessRequest{Program: id, Routine: "main", Instr: 1})
-	record("liveness", status, body)
+	record("liveness", status, body, false)
 	status, body = c.post("/v1/callsite", api.CallSiteRequest{Program: id, Routine: "main", Instr: 2})
-	record("callsite", status, body)
+	record("callsite", status, body, false)
 	status, body = c.post("/v1/callgraph", api.CallGraphRequest{Program: id})
-	record("callgraph", status, body)
+	record("callgraph", status, body, false)
 	status, body = c.post("/v1/analyze", api.AnalyzeRequest{Program: id})
-	record("analyze", status, normalizeNs(t, body))
+	record("analyze", status, body, true)
 	status, body = c.post("/v1/batch", api.BatchRequest{
 		Program: id,
 		Queries: []api.Query{
@@ -181,20 +200,20 @@ func TestEndpointsGolden(t *testing.T) {
 			{Kind: "teleport", Routine: "main"},
 		},
 	})
-	record("batch", status, body)
+	record("batch", status, body, false)
 	status, body = c.post("/v1/optimize", api.OptimizeRequest{Program: id, Verify: true})
-	record("optimize", status, normalizeNs(t, body))
+	record("optimize", status, body, true)
 	status, body = c.get("/healthz")
-	record("healthz", status, body)
+	record("healthz", status, body, false)
 	// Error shapes.
 	status, body = c.post("/v1/summary", api.SummaryRequest{Program: "sha256:0", Routine: "main"})
-	record("summary_unknown_program", status, body)
+	record("summary_unknown_program", status, body, false)
 	status, body = c.post("/v1/summary", api.SummaryRequest{Program: id, Routine: "nope"})
-	record("summary_unknown_routine", status, body)
+	record("summary_unknown_routine", status, body, false)
 	status, body = c.post("/v1/liveness", api.LivenessRequest{Program: id, Routine: "main", Instr: 99})
-	record("liveness_out_of_range", status, body)
+	record("liveness_out_of_range", status, body, false)
 	status, body = c.post("/v1/programs", api.LoadRequest{})
-	record("programs_no_source", status, body)
+	record("programs_no_source", status, body, false)
 
 	got, err := json.MarshalIndent(log, "", "  ")
 	if err != nil {

@@ -66,76 +66,75 @@ func Encode(p *prog.Program) ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("sxe: refusing to encode invalid program: %w", err)
 	}
-	// Pack a fresh data segment without mutating p.
-	var data []int64
-	offsets := make([][]int, len(p.Routines))
+	// The data segment packs every jump table as its length followed by
+	// its code addresses (prog.PackTables), derived here without
+	// mutating p. size bounds the image, except that instruction records
+	// are counted at 12 bytes: they average about 8 (4 fixed bytes and
+	// three short varints), and a longer one only makes append grow b.
+	nData, size := 0, len(Magic)+4+3*binary.MaxVarintLen64
+	for _, r := range p.Routines {
+		for _, t := range r.Tables {
+			nData += 1 + len(t)
+		}
+		size += len(r.Name) + (6+len(r.Entries)+2*len(r.Tables))*binary.MaxVarintLen64 + 12*len(r.Code)
+	}
+	size += 2 * binary.MaxVarintLen64 * nData
+
+	b := make([]byte, 0, size)
+	b = append(b, Magic[:]...)
+	b = binary.AppendUvarint(b, uint64(p.Entry))
+	b = binary.AppendUvarint(b, uint64(nData))
 	for ri, r := range p.Routines {
-		for _, table := range r.Tables {
-			offsets[ri] = append(offsets[ri], len(data))
-			data = append(data, int64(len(table)))
-			for _, tgt := range table {
-				data = append(data, prog.CodeAddr(ri, tgt))
+		for _, t := range r.Tables {
+			b = binary.AppendVarint(b, int64(len(t)))
+			for _, tgt := range t {
+				b = binary.AppendVarint(b, prog.CodeAddr(ri, tgt))
 			}
 		}
 	}
-
-	var buf bytes.Buffer
-	buf.Write(Magic[:])
-	writeUvarint(&buf, uint64(p.Entry))
-	writeUvarint(&buf, uint64(len(data)))
-	for _, w := range data {
-		writeVarint(&buf, w)
-	}
-	writeUvarint(&buf, uint64(len(p.Routines)))
-	for ri, r := range p.Routines {
-		writeUvarint(&buf, uint64(len(r.Name)))
-		buf.WriteString(r.Name)
+	b = binary.AppendUvarint(b, uint64(len(p.Routines)))
+	off := 0
+	for _, r := range p.Routines {
+		b = binary.AppendUvarint(b, uint64(len(r.Name)))
+		b = append(b, r.Name...)
 		flags := uint64(0)
 		if r.AddressTaken {
 			flags |= flagAddressTaken
 		}
-		writeUvarint(&buf, flags)
-		writeUvarint(&buf, uint64(len(r.Entries)))
+		b = binary.AppendUvarint(b, flags)
+		b = binary.AppendUvarint(b, uint64(len(r.Entries)))
 		for _, e := range r.Entries {
-			writeUvarint(&buf, uint64(e))
+			b = binary.AppendUvarint(b, uint64(e))
 		}
-		writeUvarint(&buf, uint64(len(r.Tables)))
+		b = binary.AppendUvarint(b, uint64(len(r.Tables)))
 		for _, t := range r.Tables {
-			writeUvarint(&buf, uint64(len(t)))
+			b = binary.AppendUvarint(b, uint64(len(t)))
 			for _, tgt := range t {
-				writeUvarint(&buf, uint64(tgt))
+				b = binary.AppendUvarint(b, uint64(tgt))
 			}
 		}
-		writeUvarint(&buf, uint64(len(offsets[ri])))
-		for _, off := range offsets[ri] {
-			writeUvarint(&buf, uint64(off))
+		b = binary.AppendUvarint(b, uint64(len(r.Tables)))
+		for _, t := range r.Tables {
+			b = binary.AppendUvarint(b, uint64(off))
+			off += 1 + len(t)
 		}
-		writeUvarint(&buf, uint64(len(r.Code)))
+		b = binary.AppendUvarint(b, uint64(len(r.Code)))
 		for i := range r.Code {
-			encodeInstr(&buf, &r.Code[i])
+			in := &r.Code[i]
+			b = append(b, byte(in.Op), byte(in.Dest), byte(in.Src1), byte(in.Src2))
+			b = binary.AppendVarint(b, in.Imm)
+			b = binary.AppendUvarint(b, uint64(in.Target))
+			b = binary.AppendVarint(b, int64(in.Table))
+			if in.Op.Format() == isa.FmtSets {
+				b = binary.AppendUvarint(b, uint64(in.Use))
+				b = binary.AppendUvarint(b, uint64(in.Def))
+				b = binary.AppendUvarint(b, uint64(in.Kill))
+			}
 		}
 	}
 	sum := fnv.New32a()
-	sum.Write(buf.Bytes())
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], sum.Sum32())
-	buf.Write(tail[:])
-	return buf.Bytes(), nil
-}
-
-func encodeInstr(buf *bytes.Buffer, in *isa.Instr) {
-	buf.WriteByte(byte(in.Op))
-	buf.WriteByte(byte(in.Dest))
-	buf.WriteByte(byte(in.Src1))
-	buf.WriteByte(byte(in.Src2))
-	writeVarint(buf, in.Imm)
-	writeUvarint(buf, uint64(in.Target))
-	writeVarint(buf, int64(in.Table))
-	if in.Op.Format() == isa.FmtSets {
-		writeUvarint(buf, uint64(in.Use))
-		writeUvarint(buf, uint64(in.Def))
-		writeUvarint(buf, uint64(in.Kill))
-	}
+	sum.Write(b)
+	return binary.LittleEndian.AppendUint32(b, sum.Sum32()), nil
 }
 
 // Decode parses an SXE image, verifies its checksum, and validates the
@@ -362,18 +361,6 @@ func Read(r io.Reader) (*prog.Program, error) {
 		return nil, err
 	}
 	return Decode(data)
-}
-
-func writeUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	buf.Write(tmp[:n])
-}
-
-func writeVarint(buf *bytes.Buffer, v int64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], v)
-	buf.Write(tmp[:n])
 }
 
 type reader struct {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/prog"
+	"repro/internal/progen"
 	"repro/internal/regset"
 )
 
@@ -327,5 +328,19 @@ func TestDecodeNeverPanics(t *testing.T) {
 			}()
 			_, _ = Decode(in)
 		}()
+	}
+}
+
+// BenchmarkEncode measures the content-hash step of program loading and
+// patching: one image of the gcc profile at scale 0.1.
+func BenchmarkEncode(b *testing.B) {
+	prof, _ := progen.ProfileByName("gcc")
+	p := progen.Generate(prof.Scale(0.1), progen.DefaultOptions(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Encode(p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
