@@ -99,7 +99,7 @@ serve-smoke:
 obs-guard:
 	$(GO) vet ./...
 	$(GO) test ./internal/obs/ ./internal/core/ ./internal/serve/ \
-		-run 'TestAllocationBudget|TestAnalyzeAllocationBudget|TestPSGBuildAllocationBudget|TestPhasesAllocationBudget|TestDisabledObsAllocParity|TestMetricsDeterminism|TestAnalyzeTracing|TestNilObserverZeroAlloc|TestNilRequestObserverZeroAlloc|TestAnalyzeRequestSpans|TestCachedReadAllocBudget' -v
+		-run 'TestAllocationBudget|TestAnalyzeAllocationBudget|TestPSGBuildAllocationBudget|TestPhasesAllocationBudget|TestDisabledObsAllocParity|TestMetricsDeterminism|TestAnalyzeTracing|TestNilObserverZeroAlloc|TestNilRequestObserverZeroAlloc|TestAnalyzeRequestSpans|TestCachedReadAllocBudget|TestReanalyzeAllocationBudget' -v
 
 # Correctness soak: the internal/check harness — differential runner
 # across the option matrix, PSG invariant checker, emulator-backed

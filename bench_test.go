@@ -113,6 +113,50 @@ func BenchmarkReanalyzeAcad(b *testing.B) {
 	}
 }
 
+// BenchmarkReanalyzeAfterDeadCode measures the re-analysis an optimizer
+// pays after one dead-code round on acad: the edit set empties and
+// shrinks blocks across most routines while almost every routine keeps
+// its PSG shape, so the re-analysis reuses the previous structure
+// wholesale (the shared-shape path) and rebuilds only the dirty
+// routines' ranges. Routines the round left alone stay
+// pointer-identical to the analyzed program, as in opt.Optimize.
+func BenchmarkReanalyzeAfterDeadCode(b *testing.B) {
+	prof, _ := progen.ProfileByName("acad")
+	p := progen.Generate(prof.Scale(benchScale), progen.PaperOptOptions(1))
+	base, err := core.Analyze(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dc := opt.DefaultOptions()
+	dc.NoSpillRemoval, dc.NoSaveRestore, dc.MaxRounds = true, true, 1
+	out, _, err := opt.Optimize(p, dc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mutant := p.ShallowClone()
+	for ri, r := range out.Routines {
+		if r.Hash() != p.Routines[ri].Hash() {
+			mutant.Routines[ri] = r
+		}
+	}
+	var inc *core.Analysis
+	for i := 0; i < 2; i++ { // warm the pools out of the timed region
+		if inc, err = core.Reanalyze(base, mutant); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if inc, err = core.Reanalyze(base, mutant); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(inc.Incremental.DirtyRoutines), "dirty-routines")
+	b.ReportMetric(float64(inc.Incremental.ResolvedComponents), "resolved-components")
+}
+
 // BenchmarkReanalyzeInPlaceAcad measures the consuming editor loop:
 // the target alternates between the mutant and the base program, so
 // after warm-up every iteration applies a genuine single-routine edit

@@ -17,6 +17,7 @@ package cfg
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 	"unsafe"
 
@@ -133,7 +134,21 @@ type Graph struct {
 	// loopMemo caches BlockInLoop's per-block answers, computed lazily
 	// by one SCC pass on the first query (see scc.go).
 	loopMemo []bool
+
+	// defUBD records that ComputeDefUBD has filled every block's Def
+	// and UBD sets.
+	defUBD bool
+
+	// postOnce guards post, the block postorder numbering Postorder
+	// computes on first use; graphs are shared read-only between
+	// analyses, so concurrent callers share one computation.
+	postOnce sync.Once
+	post     []int32
 }
+
+// HasDefUBD reports whether ComputeDefUBD has populated the blocks'
+// Def and UBD sets.
+func (g *Graph) HasDefUBD() bool { return g.defUBD }
 
 // MemoryFootprint returns the resident bytes of the graph's arena
 // storage: the block slab, the pointer index over it, the
@@ -380,6 +395,58 @@ func ComputeDefUBD(g *Graph) {
 		b.Def = def
 		b.UBD = ubd
 	}
+	g.defUBD = true
+}
+
+// Postorder numbers the blocks in DFS postorder from the entry blocks
+// over successor arcs: every block numbers after the blocks it can
+// reach (up to back edges). Blocks unreachable from the entries are
+// numbered last, in ascending block order, so the numbering is total
+// and deterministic. Computed once per graph; callers must not modify
+// the result.
+func (g *Graph) Postorder() []int32 {
+	g.postOnce.Do(func() {
+		n := len(g.Blocks)
+		prio := make([]int32, n)
+		for i := range prio {
+			prio[i] = -1
+		}
+		seen := make([]bool, n)
+		iter := make([]int32, n)
+		stack := make([]int32, 0, n)
+		post := int32(0)
+		for _, e := range g.EntryBlocks {
+			if seen[e] {
+				continue
+			}
+			seen[e] = true
+			stack = append(stack, int32(e))
+			for len(stack) > 0 {
+				b := stack[len(stack)-1]
+				succs := g.Blocks[b].Succs
+				if int(iter[b]) < len(succs) {
+					nxt := int32(succs[iter[b]])
+					iter[b]++
+					if !seen[nxt] {
+						seen[nxt] = true
+						stack = append(stack, nxt)
+					}
+					continue
+				}
+				stack = stack[:len(stack)-1]
+				prio[b] = post
+				post++
+			}
+		}
+		for i := 0; i < n; i++ {
+			if prio[i] < 0 {
+				prio[i] = post
+				post++
+			}
+		}
+		g.post = prio
+	})
+	return g.post
 }
 
 // Reachable returns the set of block IDs reachable from the routine's

@@ -10,7 +10,7 @@ package cfg
 // The graph is immutable after construction, so the memo never
 // invalidates — but the lazy computation is not synchronized, so first
 // use must not be concurrent (PSG construction queries it from its
-// serial structural pass).
+// structure pass, where one worker owns each graph).
 func (g *Graph) BlockInLoop(id int) bool {
 	if g.loopMemo == nil {
 		g.computeLoopMemo()

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
+	"repro/internal/par"
 	"repro/internal/prog"
 	"repro/internal/regset"
 )
@@ -175,13 +176,14 @@ func (a *Analysis) CallGraph() *callgraph.Graph { return a.callGraph }
 // analyzed program (prog.Routine.Hash), computed on first use and
 // memoized; concurrent callers share one computation. Reanalyze diffs
 // a patched program against them, and snapshots persist them so a
-// restored analysis can diff without the original source.
+// restored analysis can diff without the original source. The routines
+// are hashed on the analysis's worker pool.
 func (a *Analysis) BodyHashes() []uint64 {
 	a.hashOnce.Do(func() {
 		a.hashes = make([]uint64, len(a.Prog.Routines))
-		for ri := range a.Prog.Routines {
+		par.ForEach(len(a.hashes), a.Config.Workers(), func(ri int) {
 			a.hashes[ri] = a.Prog.Routines[ri].Hash()
-		}
+		})
 	})
 	return a.hashes
 }
@@ -396,20 +398,35 @@ func (a *Analysis) collectSummaries() {
 }
 
 // collectSummary reads one routine's summary out of the converged PSG.
+// The per-entrance and per-exit sets are windows of one allocation;
+// a routine without exits keeps nil exit lists.
 func (a *Analysis) collectSummary(ri int) RoutineSummary {
 	sr := a.PSG.SavedRestored[ri]
-	s := RoutineSummary{SavedRestored: sr}
-	for _, nid := range a.PSG.EntryNodes[ri] {
-		n := a.PSG.Nodes[nid]
-		s.CallUsed = append(s.CallUsed, n.phase1Use.Minus(sr))
-		s.CallDefined = append(s.CallDefined, n.MustDef.Minus(sr))
-		s.CallKilled = append(s.CallKilled, n.MayDef.Minus(sr))
-		s.LiveAtEntry = append(s.LiveAtEntry, n.MayUse)
+	entries, exits := a.PSG.EntryNodes[ri], a.PSG.ExitNodes[ri]
+	ne, nx := len(entries), len(exits)
+	sets := make([]regset.Set, 4*ne+nx)
+	s := RoutineSummary{
+		SavedRestored: sr,
+		CallUsed:      sets[0:ne:ne],
+		CallDefined:   sets[ne : 2*ne : 2*ne],
+		CallKilled:    sets[2*ne : 3*ne : 3*ne],
+		LiveAtEntry:   sets[3*ne : 4*ne : 4*ne],
 	}
-	for _, nid := range a.PSG.ExitNodes[ri] {
-		n := a.PSG.Nodes[nid]
-		s.LiveAtExit = append(s.LiveAtExit, n.MayUse)
-		s.ExitBlocks = append(s.ExitBlocks, n.Block)
+	for e, nid := range entries {
+		n := &a.PSG.Nodes[nid]
+		s.CallUsed[e] = n.phase1Use.Minus(sr)
+		s.CallDefined[e] = n.MustDef.Minus(sr)
+		s.CallKilled[e] = n.MayDef.Minus(sr)
+		s.LiveAtEntry[e] = n.MayUse
+	}
+	if nx > 0 {
+		s.LiveAtExit = sets[4*ne:]
+		s.ExitBlocks = make([]int, nx)
+		for x, nid := range exits {
+			n := &a.PSG.Nodes[nid]
+			s.LiveAtExit[x] = n.MayUse
+			s.ExitBlocks[x] = n.Block
+		}
 	}
 	return s
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/cfg"
 	"repro/internal/obs"
@@ -53,8 +54,8 @@ import (
 
 // defUse is one routine's def-use chain slab: pointer-free, flat,
 // pooled (defusePool) and reused across routines. It is built during
-// the serial structural pass — discovery needs the links — and
-// consumed by the parallel labeling pass, which returns it to the pool.
+// the structure pass — discovery needs the links — and consumed by the
+// labeling pass, which returns it to the pool.
 type defUse struct {
 	// Block-indexed.
 	chainAt  []int32 // block → chain node index, or −1 for forwarding blocks
@@ -99,7 +100,7 @@ type defUse struct {
 	startBuf [1]int
 
 	// Slab-backed task storage: the routineNodes arrays and the task's
-	// sources/refStart/refs buffers live here so the structural pass
+	// sources/refStart/refs buffers live here so the structure pass
 	// allocates nothing for them in the steady state (the slab serves
 	// the same routine every pass — see defUseArena).
 	rnStore  []int32
@@ -127,14 +128,14 @@ func (d *defUse) routineNodes(n int) routineNodes {
 	}
 }
 
-// defUseArena owns the chain slabs of one structural pass: the k-th
-// buildRoutine call always receives slab k, so across repeated analyses
-// each slab serves the same routine and its buffers converge to that
-// routine's sizes — pooling the slabs individually would pair them with
-// different routines every run (the pool drains during the structural
-// pass and refills in label order) and regrow them forever. The arena
-// is released back to defusePool once every task is labeled
-// (releaseTasks), slabs and all.
+// defUseArena owns the chain slabs of one structure-pass builder: the
+// builder's k-th buildRoutine call always receives slab k, so across
+// repeated analyses each slab tends to serve the same routine and its
+// buffers converge to that routine's sizes — pooling the slabs
+// individually would pair them with different routines every run (the
+// pool drains during the structure pass and refills in label order)
+// and regrow them forever. The arena is released back to defusePool
+// once every task is labeled (releaseTasks), slabs and all.
 type defUseArena struct {
 	slabs []*defUse
 	next  int
@@ -152,9 +153,27 @@ func (a *defUseArena) take() *defUse {
 func (a *defUseArena) reset() { a.next = 0 }
 
 // defusePool is instrumented like labelPool so Analyze can report arena
-// reuse; an arena is held from the structural pass until its last
+// reuse; an arena is held from the structure pass until its last
 // routine is labeled.
 var defusePool = obs.NewPool(func() any { return new(defUseArena) })
+
+// arenasOut counts arenas checked out of defusePool and not yet
+// returned; the structure-pass tests assert it comes back to its
+// starting value, i.e. every arena is returned exactly once.
+var arenasOut atomic.Int64
+
+// getArena checks an arena out of defusePool; pooled arenas are reset.
+func getArena() *defUseArena {
+	arenasOut.Add(1)
+	return defusePool.Get().(*defUseArena)
+}
+
+// putArena resets an arena and returns it to defusePool.
+func putArena(a *defUseArena) {
+	arenasOut.Add(-1)
+	a.reset()
+	defusePool.Put(a)
+}
 
 func (d *defUse) growBlocks(n int) {
 	if cap(d.chainAt) < n {
@@ -309,10 +328,10 @@ func (d *defUse) target(block int) int32 {
 // source's start blocks and emits one edge per sink found, in ascending
 // block order — the exact edge IDs and order of the dense discovery,
 // at O(chain) per source instead of O(blocks).
-func (g *PSG) discoverFlowEdgesSparse(t *labelTask, graph *cfg.Graph, rn routineNodes, du *defUse, scratch *buildScratch) {
+func (b *psgBuilder) discoverFlowEdgesSparse(t *labelTask, graph *cfg.Graph, rn routineNodes, du *defUse, entries []int) {
 	t.graph, t.rn, t.du = graph, rn, du
 	sources := du.srcBuf[:0]
-	for _, id := range g.EntryNodes[graph.RoutineIndex] {
+	for _, id := range entries {
 		sources = append(sources, int32(id))
 	}
 	for blockID := range graph.Blocks {
@@ -338,9 +357,9 @@ func (g *PSG) discoverFlowEdgesSparse(t *labelTask, graph *cfg.Graph, rn routine
 	seen, blockOf, sinkOf, links, linkStart := du.seen, du.blockOf, du.sinkOf, du.links, du.linkStart
 	stack, sinks := du.stack[:0], du.sinkBuf[:0]
 	for si, srcID := range sources {
-		src := &g.Nodes[srcID]
+		src := &b.nodes[srcID]
 		base := len(region)
-		for _, st := range sourceStartBlocks(graph, src, &scratch.startBuf) {
+		for _, st := range sourceStartBlocks(graph, src, &b.startBuf) {
 			ci := du.target(st)
 			if ci < 0 || seen[ci] {
 				continue
@@ -366,7 +385,7 @@ func (g *PSG) discoverFlowEdgesSparse(t *labelTask, graph *cfg.Graph, rn routine
 		}
 		slices.Sort(sinks)
 		for _, blockID := range sinks {
-			eid := g.addEdge(EdgeFlow, src.ID, int(rn.sinkAt[blockID]))
+			eid := b.addEdge(EdgeFlow, src.ID, int(rn.sinkAt[blockID]))
 			refs = append(refs, flowEdgeRef{sink: blockID, edge: int32(eid)})
 		}
 		refStart[si+1] = int32(len(refs))

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/callgraph"
@@ -24,6 +26,12 @@ const (
 	analyzeAllocBudget  = 3000 // full Analyze, closed world (measured ~2.4k)
 	psgBuildAllocBudget = 1000 // buildPSG on prebuilt CFGs (measured ~820)
 	phasesAllocBudget   = 50   // newPhaseSched + both phases, reused PSG (measured ~36)
+
+	// Reanalyze after one block-emptying edit, with GC off so the pools
+	// stay warm: measured 99 on the shared-shape path. Forcing the
+	// general re-assembly measures 130; before the shape check ignored
+	// block IDs, this edit fell back and measured 455.
+	reanalyzeAllocBudget = 110
 )
 
 func perfProgram() *prog.Program {
@@ -44,6 +52,58 @@ func TestAnalyzeAllocationBudget(t *testing.T) {
 	if allocs > analyzeAllocBudget {
 		t.Errorf("Analyze allocates %.0f times per run, budget is %d", allocs, analyzeAllocBudget)
 	}
+}
+
+// TestReanalyzeAllocationBudget re-analyzes after an edit that empties
+// a block, renumbering the blocks after it while the PSG keeps its
+// shape — the edit a dead-code pass makes. The shared-shape path fits
+// the budget; falling back to the general re-assembly (a second copy
+// of both slabs, fresh adjacency, caller lists, return-site links and
+// scheduler) does not.
+func TestReanalyzeAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	p := perfProgram()
+	prev, err := Analyze(p, WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutant, desc := progen.MutateKind(p, 1, progen.MutEmptyBlock)
+	if err := prev.checkRenumbered(mutant); err != nil {
+		t.Fatalf("%s: %v", desc, err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Reanalyze(prev, mutant, WithParallelism(1)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Reanalyze after %s: %.0f allocs/run (budget %d)", desc, allocs, reanalyzeAllocBudget)
+	if allocs > reanalyzeAllocBudget {
+		t.Errorf("Reanalyze allocates %.0f times per run, budget is %d", allocs, reanalyzeAllocBudget)
+	}
+}
+
+// checkRenumbered reports an error unless mutant differs from a's
+// program in exactly one routine, which lost a block.
+func (a *Analysis) checkRenumbered(mutant *prog.Program) error {
+	edited := -1
+	for ri, r := range mutant.Routines {
+		if r != a.Prog.Routines[ri] {
+			if edited >= 0 {
+				return fmt.Errorf("routines %d and %d both edited", edited, ri)
+			}
+			edited = ri
+		}
+	}
+	if edited < 0 {
+		return fmt.Errorf("no routine edited")
+	}
+	if got, was := len(cfg.Build(mutant, edited).Blocks), len(a.Graphs[edited].Blocks); got != was-1 {
+		return fmt.Errorf("routine %d has %d blocks, was %d", edited, got, was)
+	}
+	return nil
 }
 
 func TestPSGBuildAllocationBudget(t *testing.T) {

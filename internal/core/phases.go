@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/callgraph"
 	"repro/internal/callstd"
+	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -402,6 +403,26 @@ func (s *phaseSched) computePriorities() {
 	}
 }
 
+// groundScratch is the grounding pass's per-component seed bookkeeping:
+// pend marks seeds not yet popped, touched the seeds pushed while
+// pending.
+type groundScratch struct{ pend, touched []bool }
+
+// arm sizes both arrays for an n-node component: every seed pending,
+// none touched.
+func (gs *groundScratch) arm(n int) (pend, touched []bool) {
+	if cap(gs.pend) < n {
+		gs.pend, gs.touched = make([]bool, n), make([]bool, n)
+	}
+	gs.pend, gs.touched = gs.pend[:n], gs.touched[:n]
+	for i := range gs.pend {
+		gs.pend[i], gs.touched[i] = true, false
+	}
+	return gs.pend, gs.touched
+}
+
+var groundPool = obs.NewPool(func() any { return new(groundScratch) })
+
 // wlPool recycles worklists across components and phases; Reset re-arms
 // one for a component without reallocating, so the steady-state solve
 // loop performs no heap allocation at all. The obs.Pool wrapper counts
@@ -542,7 +563,20 @@ func (s *phaseSched) solvePhase1(c int) int {
 	wl := wlPool.Get().(*dataflow.Worklist)
 	wl.Reset(len(nodes), nil)
 	pinned := c == s.pinnedComp
-	var scans, relabels uint64
+	var scans, relabels, held uint64
+
+	// pend, while non-nil, marks the nodes still waiting in the grounding
+	// pass's seed queue; a push of such a node only marks it touched (it
+	// is queued already, as in a plain FIFO holding every seed).
+	var pend, touched []bool
+	push := func(li int) {
+		if pend != nil && pend[li] {
+			touched[li] = true
+			held++
+			return
+		}
+		wl.Push(li)
+	}
 
 	// updateIndirect relabels every indirect call-return edge with the
 	// closed-world combination of the calling-standard summary and all
@@ -563,18 +597,33 @@ func (s *phaseSched) solvePhase1(c int) int {
 			if e.MayUse != mu || e.MayDef != md || e.MustDef != msd {
 				e.MayUse, e.MayDef, e.MustDef = mu, md, msd
 				relabels++
-				wl.Push(int(s.localIdx[e.Src]))
+				push(int(s.localIdx[e.Src]))
 			}
 		}
 	}
 
+	// drain pops seeds — a FIFO segment ahead of the worklist, used by
+	// the grounding pass — and then the worklist until both are empty.
 	pops := 0
-	drain := func(clamp bool) {
-		for !wl.Empty() {
+	drain := func(clamp bool, seeds []int32) {
+		for {
+			var li int
+			switch {
+			case len(seeds) > 0:
+				li, seeds = int(seeds[0]), seeds[1:]
+				pend[li] = false
+				if n := &g.Nodes[nodes[li]]; !touched[li] && n.MustDef.SubsetOf(n.MayDef) {
+					continue // recompute would reproduce the node's sets
+				}
+			case !wl.Empty():
+				li = wl.Pop()
+			default:
+				return
+			}
 			if pops&(cancelStride-1) == 0 && s.cancelled() {
 				return
 			}
-			n := &g.Nodes[nodes[wl.Pop()]]
+			n := &g.Nodes[nodes[li]]
 			pops++
 			scans += uint64(len(g.OutEdges(n.ID)))
 			mu, md, msd := g.recompute(n, false, clamp)
@@ -586,7 +635,7 @@ func (s *phaseSched) solvePhase1(c int) int {
 			// so these are always in this component.
 			for _, eid := range g.InEdges(n.ID) {
 				if src := g.Edges[eid].Src; s.nodeComp[src] == int32(c) {
-					wl.Push(int(s.localIdx[src]))
+					push(int(s.localIdx[src]))
 				}
 			}
 			// §3.2: entry nodes broadcast their sets to every call-return
@@ -605,7 +654,7 @@ func (s *phaseSched) solvePhase1(c int) int {
 					if e.MayUse != fu || e.MayDef != fd || e.MustDef != fm {
 						e.MayUse, e.MayDef, e.MustDef = fu, fd, fm
 						relabels++
-						wl.Push(int(s.localIdx[e.Src]))
+						push(int(s.localIdx[e.Src]))
 					}
 				}
 				if pinned && s.isAddrTakenEntry(n.ID) {
@@ -621,7 +670,7 @@ func (s *phaseSched) solvePhase1(c int) int {
 	if pinned {
 		updateIndirect() // establish the calling-standard baseline
 	}
-	drain(false)
+	drain(false, nil)
 	// Grounding pass: MUST-DEF ⊆ MAY-DEF by definition, but a call with
 	// no path to a ret-exit (unbounded recursion ahead of every exit)
 	// leaves the optimistic intersection at lattice top — vacuously
@@ -631,11 +680,22 @@ func (s *phaseSched) solvePhase1(c int) int {
 	// as a continuation: from the converged state, the clamped equations
 	// only descend, and they land on their own greatest fixpoint — equal
 	// to the unclamped one wherever MUST ⊆ MAY already held.
-	for _, li := range s.order(c) {
-		wl.Push(int(li))
-	}
-	drain(true)
+	//
+	// The continuation is the FIFO drain of every node in seed order,
+	// run without its no-op visits: at the converged state a clamped
+	// recompute changes a node only where MUST-DEF ⊄ MAY-DEF, and until
+	// a seed is popped only a push (an input change) can alter what its
+	// recompute returns. So a seed is recomputed when it is malformed or
+	// was touched, and skipped otherwise; every state change happens in
+	// the same order as in the full drain, so the fixed point is the
+	// same.
+	gs := groundPool.Get().(*groundScratch)
+	pend, touched = gs.arm(len(nodes))
+	drain(true, s.order(c))
+	pend = nil
+	groundPool.Put(gs)
 	pushes, _ := wl.Counts()
+	pushes += held
 	wlPool.Put(wl)
 	// Broadcast the converged entry summaries outward. The affected
 	// edges belong to caller components, which the callee-first wave
@@ -699,8 +759,12 @@ func (g *PSG) phase2Seed(n *Node) regset.Set {
 // isRetExit reports whether an exit node's block ends in ret (halt exits
 // terminate the program and return to no caller).
 func (g *PSG) isRetExit(n *Node) bool {
-	graph := g.Graphs[n.Routine]
-	return graph.Terminator(graph.Blocks[n.Block]).Op == isa.OpRet
+	return retExit(g.Graphs[n.Routine], n.Block)
+}
+
+// retExit reports whether block ends in ret in graph.
+func retExit(graph *cfg.Graph, block int) bool {
+	return graph.Terminator(graph.Blocks[block]).Op == isa.OpRet
 }
 
 // linkReturnSites populates the PSG's return-site links: liveness at a

@@ -142,8 +142,8 @@ type Edge struct {
 //
 // Storage is flat: Nodes and Edges are value slabs grown in large
 // blocks, and adjacency is compressed-sparse-row — one shared index
-// array per direction, windowed per node — built once after the
-// structural pass. Compared to per-node heap objects and per-node edge
+// array per direction, windowed per node — built once by the layout
+// pass. Compared to per-node heap objects and per-node edge
 // slices this cuts construction to a handful of large allocations and
 // leaves the GC almost nothing to trace.
 type PSG struct {
@@ -371,152 +371,226 @@ func PaperConfig() Config {
 // call-return edges for every routine (§3.1), labeling flow-summary edges
 // with the Figure 6 dataflow over CFG subgraphs.
 //
-// Construction is split into a serial structural pass and a parallel
-// labeling pass. The structural pass walks routines in index order,
-// appending nodes and edges to the value slabs — IDs are therefore
-// deterministic and independent of Config.Parallelism — and shares one
-// scratch buffer across routines, so its allocation count is O(routines)
-// rather than O(nodes + edges). The CSR adjacency is then built in two
-// counting passes, and the labeling pass computes each routine's
-// flow-summary edge labels (the Figure 6 dataflow, the dominant cost of
-// PSG construction) on the worker pool with pooled per-worker scratch;
-// each worker writes only the Edge structs of its own routine, so the
-// result is byte-identical to a serial run. The returned duration is the
-// aggregate compute time across both passes (the stage's CPU time).
+// Construction runs in three passes. The structure pass
+// (buildStructure) builds every routine on the worker pool into a
+// worker-local record. The layout pass places the records at their
+// routine-order offsets — node and edge IDs are therefore deterministic
+// and independent of Config.Parallelism — registers caller edges in
+// routine order and builds the CSR adjacency. The labeling pass then
+// computes each routine's flow-summary edge labels (the Figure 6
+// dataflow, the dominant cost of PSG construction) on the worker pool
+// with pooled per-worker scratch; each worker writes only the Edge
+// structs of its own routine, so the result is byte-identical to a
+// serial run. The returned duration is the aggregate compute time
+// across the passes (the stage's CPU time).
 func buildPSG(p *prog.Program, graphs []*cfg.Graph, conf Config) (*PSG, time.Duration) {
-	// Pre-size the slabs from the terminator classes so construction
-	// avoids append-doubling: the node count is exact except that
-	// multiway blocks outside loops don't get a branch node (a small
-	// overcount), and the edge count is capped by the observed flow-edge
-	// density (≈2 per node across the benchmark profiles; exceeding the
-	// guess just falls back to amortized growth). The same walk counts
-	// the entry, exit and per-(routine, entrance) caller-edge totals, so
-	// EntryNodes, ExitNodes and CallerEdges are carved as exact-capacity
-	// windows of four slabs instead of per-routine lists — buildRoutine's
-	// appends fill them in place.
-	n := len(p.Routines)
+	g := &PSG{Prog: p, Graphs: graphs}
+	ssp := conf.Tracer.MainThread().Begin("psg structure")
+	sp, cpu := buildStructure(graphs, conf)
+	start := time.Now()
+	g.layout(sp.recs, conf.Workers())
+	for ri := range graphs {
+		sp.placed(ri, int(g.nodeStart[ri]), int(g.edgeStart[ri]))
+	}
+	sp.releaseBuilders()
+	cpu += time.Since(start)
+	ssp.Arg("nodes", int64(len(g.Nodes))).Arg("edges", int64(len(g.Edges))).End()
+	cpu += g.labelTasks(sp.tasks, conf)
+	cpu += g.computeSavedRestored(conf.Workers(), conf.Tracer)
+	return g, cpu
+}
+
+// labelTasks runs the labeling pass over placed tasks on the worker
+// pool, publishes the label/* counters and releases the tasks' arenas.
+// It returns the pass's aggregate CPU time.
+func (g *PSG) labelTasks(tasks []labelTask, conf Config) time.Duration {
+	flowEdges := conf.Metrics.Counter("label/flow_edges")
+	defuseLinks := conf.Metrics.Counter("label/defuse_links")
+	chainSteps := conf.Metrics.Counter("label/chain_steps")
+	denseFallbacks := conf.Metrics.Counter("label/dense_fallbacks")
+	cpu := par.ForEachSpan(conf.Tracer, "label", len(tasks), conf.Workers(), func(i int) {
+		st := tasks[i].label(g, conf)
+		flowEdges.Add(uint64(len(tasks[i].refs)))
+		defuseLinks.Add(st.links)
+		chainSteps.Add(st.steps)
+		denseFallbacks.Add(st.dense)
+	})
+	releaseTasks(tasks)
+	return cpu
+}
+
+// routineRec is one routine's PSG structure outside its final slab: the
+// routine's nodes, edges and entry/exit node lists, with node IDs
+// counted from nodeBase and edge IDs from edgeBase. A record comes from
+// a structure-pass builder (builder-local IDs) or from a previous
+// analysis's slab range (that analysis's IDs, converged sets and labels
+// included). Placing it at node offset nlo and edge offset elo shifts
+// every ID by nlo−nodeBase and elo−edgeBase — the same shift for both
+// sources.
+type routineRec struct {
+	nodes    []Node
+	edges    []Edge
+	entries  []int
+	exits    []int
+	nodeBase int
+	edgeBase int
+}
+
+// prevRec is routine ri's slab range in pg as a record.
+func prevRec(pg *PSG, ri int, nodeStart, edgeStart []int32) routineRec {
+	nlo, elo := int(nodeStart[ri]), int(edgeStart[ri])
+	return routineRec{
+		nodes:    pg.Nodes[nlo:nodeStart[ri+1]],
+		edges:    pg.Edges[elo:edgeStart[ri+1]],
+		entries:  pg.EntryNodes[ri],
+		exits:    pg.ExitNodes[ri],
+		nodeBase: nlo,
+		edgeBase: elo,
+	}
+}
+
+// writeAt copies the record into nodes[nlo:] and edges[elo:], shifting
+// its IDs to those offsets. The whole window is overwritten, so nothing
+// of a previous occupant survives.
+func (r *routineRec) writeAt(nodes []Node, edges []Edge, nlo, elo int) {
+	nd, ed := nlo-r.nodeBase, elo-r.edgeBase
+	copy(nodes[nlo:], r.nodes)
+	copy(edges[elo:], r.edges)
+	if nd != 0 {
+		for i := nlo; i < nlo+len(r.nodes); i++ {
+			nodes[i].ID += nd
+		}
+	}
+	if nd != 0 || ed != 0 {
+		for i := elo; i < elo+len(r.edges); i++ {
+			e := &edges[i]
+			e.ID += ed
+			e.Src += nd
+			e.Dst += nd
+		}
+	}
+}
+
+// sameShape reports whether the record, placed at node offset nlo,
+// reproduces the structure of the window it would replace (oldNodes and
+// oldEdges, the same routine's range in an earlier PSG): the same node
+// kinds, entrance and exit ordinals, call targets and entrances and
+// unknown flags, the same edge kinds and endpoints, and the same
+// ret/halt split per real exit, each side read through its own CFG.
+// Those are everything the CSR adjacency, the entry/exit and
+// caller-edge lists, the return-site links and the scheduler shape are
+// derived from. Block IDs are not among them and are not compared: when
+// an edit empties a block, the blocks after it are renumbered while the
+// PSG keeps its shape.
+func (r *routineRec) sameShape(oldNodes []Node, oldEdges []Edge, nlo int, oldGraph, newGraph *cfg.Graph) bool {
+	if len(r.nodes) != len(oldNodes) || len(r.edges) != len(oldEdges) {
+		return false
+	}
+	for i := range r.nodes {
+		n, p := &r.nodes[i], &oldNodes[i]
+		if n.Kind != p.Kind || n.EntryIdx != p.EntryIdx ||
+			n.CallTarget != p.CallTarget || n.CallEntry != p.CallEntry ||
+			n.Unknown != p.Unknown {
+			return false
+		}
+		if n.Kind == NodeExit && !n.Unknown && retExit(newGraph, n.Block) != retExit(oldGraph, p.Block) {
+			return false
+		}
+	}
+	nd := nlo - r.nodeBase
+	for i := range r.edges {
+		e, p := &r.edges[i], &oldEdges[i]
+		if e.Kind != p.Kind || e.Src+nd != p.Src || e.Dst+nd != p.Dst {
+			return false
+		}
+	}
+	return true
+}
+
+// layout places one record per routine at routine-order offsets into
+// fresh slabs, then derives the per-routine bounds, the entry/exit
+// lists (exact-capacity windows of one slab each), the caller-edge
+// registrations and the CSR adjacency. Records are copied on the worker
+// pool; each writes only its own windows.
+func (g *PSG) layout(recs []routineRec, workers int) {
+	n := len(recs)
+	off := make([]int32, 4*(n+1))
+	g.nodeStart, g.edgeStart = off[:n+1:n+1], off[n+1:2*(n+1):2*(n+1)]
+	entryOff, exitOff := off[2*(n+1):3*(n+1):3*(n+1)], off[3*(n+1):]
+	for ri := range recs {
+		r := &recs[ri]
+		g.nodeStart[ri+1] = g.nodeStart[ri] + int32(len(r.nodes))
+		g.edgeStart[ri+1] = g.edgeStart[ri] + int32(len(r.edges))
+		entryOff[ri+1] = entryOff[ri] + int32(len(r.entries))
+		exitOff[ri+1] = exitOff[ri] + int32(len(r.exits))
+	}
+	g.Nodes = make([]Node, g.nodeStart[n])
+	g.Edges = make([]Edge, g.edgeStart[n])
+	entrySlab := make([]int, entryOff[n])
+	exitSlab := make([]int, exitOff[n])
+	g.EntryNodes = make([][]int, n)
+	g.ExitNodes = make([][]int, n)
+	par.ForEach(n, workers, func(ri int) {
+		r := &recs[ri]
+		nlo := int(g.nodeStart[ri])
+		r.writeAt(g.Nodes, g.Edges, nlo, int(g.edgeStart[ri]))
+		nd := nlo - r.nodeBase
+		en := entrySlab[entryOff[ri]:entryOff[ri+1]:entryOff[ri+1]]
+		for i, id := range r.entries {
+			en[i] = id + nd
+		}
+		ex := exitSlab[exitOff[ri]:exitOff[ri+1]:exitOff[ri+1]]
+		for i, id := range r.exits {
+			ex[i] = id + nd
+		}
+		g.EntryNodes[ri], g.ExitNodes[ri] = en, ex
+	})
+	g.registerCallers()
+	g.buildAdjacency()
+}
+
+// registerCallers fills CallerEdges from the placed slab. A counting
+// pass and a fill pass both visit the direct call-return edges in
+// edge-ID order — routine order, creation order within a routine — so
+// every CallerEdges[r][e] list holds exactly what a serial build would
+// have appended, in the same order, as an exact-capacity window of one
+// shared slab.
+func (g *PSG) registerCallers() {
+	n := len(g.Prog.Routines)
 	entryOff := make([]int32, n+1)
-	for ri, r := range p.Routines {
+	for ri, r := range g.Prog.Routines {
 		entryOff[ri+1] = entryOff[ri] + int32(len(r.Entries))
 	}
-	ebOff := make([]int32, n+1)
-	exOff := make([]int32, n+1)
 	callerOff := make([]int32, entryOff[n]+1)
-	nodeCap := 0
-	for gi, gr := range graphs {
-		ebOff[gi+1] = ebOff[gi] + int32(len(gr.EntryBlocks))
-		exits := int32(0)
-		nodeCap += len(gr.EntryBlocks)
-		for _, b := range gr.Blocks {
-			switch b.Term {
-			case cfg.TermExit:
-				nodeCap++
-				exits++
-			case cfg.TermUnknownJump, cfg.TermMultiway:
-				nodeCap++
-			case cfg.TermCall:
-				nodeCap += 2
-				// Mirrors buildRoutine's caller-edge registration.
-				if in := gr.Terminator(b); in.Op == isa.OpJsr && in.Target >= 0 {
-					callerOff[entryOff[in.Target]+int32(in.Imm)+1]++
-				}
+	for i := range g.Edges {
+		if e := &g.Edges[i]; e.Kind == EdgeCallReturn {
+			if call := &g.Nodes[e.Src]; call.CallTarget >= 0 {
+				callerOff[entryOff[call.CallTarget]+int32(call.CallEntry)+1]++
 			}
 		}
-		exOff[gi+1] = exOff[gi] + exits
 	}
 	for k := int32(0); k < entryOff[n]; k++ {
 		callerOff[k+1] += callerOff[k]
 	}
-	entrySlab := make([]int, ebOff[n])
-	exitSlab := make([]int, exOff[n])
 	pairSlab := make([][]int, entryOff[n])
 	edgeSlab := make([]int, callerOff[entryOff[n]])
-	g := &PSG{
-		Prog:        p,
-		Graphs:      graphs,
-		Nodes:       make([]Node, 0, nodeCap),
-		Edges:       make([]Edge, 0, 2*nodeCap),
-		EntryNodes:  make([][]int, n),
-		ExitNodes:   make([][]int, n),
-		CallerEdges: make([][][]int, n),
-	}
-	for ri := range p.Routines {
-		g.EntryNodes[ri] = entrySlab[ebOff[ri]:ebOff[ri]:ebOff[ri+1]]
-		g.ExitNodes[ri] = exitSlab[exOff[ri]:exOff[ri]:exOff[ri+1]]
-		pairs := pairSlab[entryOff[ri]:entryOff[ri+1]]
+	g.CallerEdges = make([][][]int, n)
+	for ri := range g.CallerEdges {
+		pairs := pairSlab[entryOff[ri]:entryOff[ri+1]:entryOff[ri+1]]
 		for e := range pairs {
 			k := entryOff[ri] + int32(e)
 			pairs[e] = edgeSlab[callerOff[k]:callerOff[k]:callerOff[k+1]]
 		}
 		g.CallerEdges[ri] = pairs
 	}
-	serial := time.Now()
-	ssp := conf.Tracer.MainThread().Begin("psg structure")
-	scratch := psgScratchPool.Get().(*buildScratch)
-	tasks := make([]labelTask, len(p.Routines))
-	g.nodeStart = make([]int32, len(p.Routines)+1)
-	g.edgeStart = make([]int32, len(p.Routines)+1)
-	for ri := range p.Routines {
-		g.nodeStart[ri] = int32(len(g.Nodes))
-		g.edgeStart[ri] = int32(len(g.Edges))
-		g.buildRoutine(&tasks[ri], ri, conf, scratch)
+	for i := range g.Edges {
+		if e := &g.Edges[i]; e.Kind == EdgeCallReturn {
+			if call := &g.Nodes[e.Src]; call.CallTarget >= 0 {
+				l := &g.CallerEdges[call.CallTarget][call.CallEntry]
+				*l = append(*l, i)
+			}
+		}
 	}
-	g.nodeStart[len(p.Routines)] = int32(len(g.Nodes))
-	g.edgeStart[len(p.Routines)] = int32(len(g.Edges))
-	// The defuse arena's ownership moved to the tasks; drop the
-	// reference before pooling the scratch.
-	scratch.defuse = nil
-	psgScratchPool.Put(scratch)
-	g.buildAdjacency()
-	ssp.Arg("nodes", int64(len(g.Nodes))).Arg("edges", int64(len(g.Edges))).End()
-	cpu := time.Since(serial)
-	workers := conf.Workers()
-	flowEdges := conf.Metrics.Counter("label/flow_edges")
-	defuseLinks := conf.Metrics.Counter("label/defuse_links")
-	chainSteps := conf.Metrics.Counter("label/chain_steps")
-	denseFallbacks := conf.Metrics.Counter("label/dense_fallbacks")
-	cpu += par.ForEachSpan(conf.Tracer, "label", len(tasks), workers, func(ri int) {
-		st := tasks[ri].label(g, conf)
-		flowEdges.Add(uint64(len(tasks[ri].refs)))
-		defuseLinks.Add(st.links)
-		chainSteps.Add(st.steps)
-		denseFallbacks.Add(st.dense)
-	})
-	releaseTasks(tasks)
-	cpu += g.computeSavedRestored(workers, conf.Tracer)
-	return g, cpu
-}
-
-// newNode appends a node with the common fields set and returns its ID;
-// callers fill kind-specific fields through g.Nodes[id]. Extending into
-// capacity writes four scalars instead of copying a 100-byte Node
-// value. This relies on the slab's spare capacity being zero: fresh
-// makes and append growth both yield zeroed memory, and the in-place
-// re-assembly clears each rebuilt window before handing it back.
-func (g *PSG) newNode(kind NodeKind, routine, block int) int {
-	id := len(g.Nodes)
-	if id < cap(g.Nodes) {
-		g.Nodes = g.Nodes[:id+1]
-	} else {
-		g.Nodes = append(g.Nodes, Node{})
-	}
-	n := &g.Nodes[id]
-	n.ID, n.Kind, n.Routine, n.Block = id, kind, routine, block
-	return id
-}
-
-// addEdge appends an unlabeled edge; like newNode it extends into
-// spare capacity (guaranteed zero) and writes only the scalar fields.
-func (g *PSG) addEdge(kind EdgeKind, src, dst int) int {
-	id := len(g.Edges)
-	if id < cap(g.Edges) {
-		g.Edges = g.Edges[:id+1]
-	} else {
-		g.Edges = append(g.Edges, Edge{})
-	}
-	e := &g.Edges[id]
-	e.ID, e.Kind, e.Src, e.Dst = id, kind, src, dst
-	return id
 }
 
 // buildAdjacency compresses the edge lists into the two CSR index
@@ -565,7 +639,7 @@ type flowEdgeRef struct {
 }
 
 // labelTask carries one routine's discovered flow-summary edges from
-// the structural pass to the labeling pass. Labeling a task touches
+// the structure pass to the labeling pass. Labeling a task touches
 // only the task's own routine — its CFG, its node placement, and the
 // Edge slab entries its refs name — so tasks may run concurrently.
 // refs is one flat array windowed per source by refStart.
@@ -576,11 +650,15 @@ type labelTask struct {
 	refStart []int32 // len(sources)+1; refs of source i in [refStart[i], refStart[i+1])
 	refs     []flowEdgeRef
 
+	// nodeShift and edgeShift move sources and refs from the builder's
+	// IDs to the placed slab's (structPass.placed); label applies them.
+	nodeShift, edgeShift int32
+
 	// du is the routine's def-use chain slab when the sparse labeler is
-	// selected (Config.sparseLabeling), built by the structural pass and
-	// consumed by label; arena owns it (one arena per structural pass,
-	// released by releaseTasks once every task is labeled). Both nil
-	// under WithDenseLabeling / per-edge labeling.
+	// selected (Config.sparseLabeling), built by the structure pass and
+	// consumed by label; arena owns it (one arena per structure-pass
+	// builder, released by releaseTasks once every task is labeled).
+	// Both nil under WithDenseLabeling / per-edge labeling.
 	du    *defUse
 	arena *defUseArena
 }
@@ -599,6 +677,17 @@ type labelStats struct {
 // label computes the Figure 6 labels of the task's flow-summary edges,
 // using pooled scratch so steady-state labeling allocates nothing.
 func (t *labelTask) label(g *PSG, conf Config) labelStats {
+	if t.nodeShift != 0 {
+		for i := range t.sources {
+			t.sources[i] += t.nodeShift
+		}
+	}
+	if t.edgeShift != 0 {
+		for i := range t.refs {
+			t.refs[i].edge += t.edgeShift
+		}
+	}
+	t.nodeShift, t.edgeShift = 0, 0
 	if t.du != nil {
 		st := t.labelSparse(g)
 		t.du = nil
@@ -614,17 +703,16 @@ func (t *labelTask) label(g *PSG, conf Config) labelStats {
 	return labelStats{dense: 1}
 }
 
-// releaseTasks returns the tasks' chain-slab arena to its pool, after
+// releaseTasks returns the tasks' chain-slab arenas to their pool, after
 // the labeling loop has consumed every task — or without labeling at
-// all, for the incremental assembly paths that abandon a batch of built
-// tasks when a structural-reuse attempt fails. One structural pass uses
-// one arena, so tasks sharing it are contiguous.
+// all, when the in-place re-analysis abandons a batch of built tasks.
+// One builder uses one arena and builds a contiguous run of tasks, so
+// tasks sharing an arena are contiguous.
 func releaseTasks(tasks []labelTask) {
 	var last *defUseArena
 	for i := range tasks {
 		if a := tasks[i].arena; a != nil && a != last {
-			a.reset()
-			defusePool.Put(a)
+			putArena(a)
 			last = a
 		}
 		tasks[i].arena, tasks[i].du = nil, nil
@@ -656,101 +744,233 @@ func newRoutineNodes(nBlocks int) routineNodes {
 	}
 }
 
-// buildScratch is reused across buildRoutine calls of the serial
-// structural pass: DFS visit marks and stack for reachability and
-// loop detection.
-type buildScratch struct {
+// structPass is the output of one structure pass: a record and a
+// labeling task per routine built, in the order the graphs were given,
+// plus the builders the records point into. The builders stay checked
+// out until every record is placed (releaseBuilders).
+type structPass struct {
+	recs     []routineRec
+	tasks    []labelTask
+	builders []*psgBuilder
+}
+
+// psgBuilder is one worker's state in the structure pass: the node and
+// edge slabs its chunk of routines is built into (IDs are slab
+// indices), the chunk's entry and exit node lists, and the discovery
+// scratch. Builders are pooled and keep their capacity across passes.
+type psgBuilder struct {
+	nodes   []Node
+	edges   []Edge
+	entries []int
+	exits   []int
+
+	// DFS visit marks and stack for the dense discovery's reachability.
 	seen     []bool
 	stack    []int32
 	startBuf [1]int
-	// defuse is the chain-slab arena of this structural pass, acquired
+
+	// defuse is the chain-slab arena of this builder's chunk, acquired
 	// lazily on the first sparse-labeled routine. Ownership passes to
 	// the built tasks (labelTask.arena); the labeling loop releases it.
 	defuse *defUseArena
 }
 
-// psgScratchPool recycles the structural pass's scratch across builds;
-// the defuse reference is cleared before Put (the arena is owned by the
-// labeling pass by then).
-var psgScratchPool = obs.NewPool(func() any { return new(buildScratch) })
+var psgBuilderPool = obs.NewPool(func() any { return new(psgBuilder) })
 
-func (s *buildScratch) grow(n int) {
-	if cap(s.seen) < n {
-		s.seen = make([]bool, n)
+// buildStructure builds the PSG structure of one routine per graph on
+// the worker pool. Each worker takes a contiguous chunk of the graphs —
+// the chunks are balanced by block count — and builds them in order
+// with its own builder, scratch and defuse arena, so the labeling
+// tasks sharing an arena stay contiguous. Nothing here touches a PSG:
+// the caller places the records (layout, or writeAt into an existing
+// slab) and then calls placed for each. The returned duration is the
+// pass's aggregate CPU time.
+func buildStructure(graphs []*cfg.Graph, conf Config) (*structPass, time.Duration) {
+	sp := &structPass{
+		recs:  make([]routineRec, len(graphs)),
+		tasks: make([]labelTask, len(graphs)),
 	}
-	s.seen = s.seen[:n]
+	bounds := chunkBounds(graphs, conf.Workers())
+	sp.builders = make([]*psgBuilder, len(bounds)-1)
+	cpu := par.ForEach(len(sp.builders), len(sp.builders), func(c int) {
+		b := psgBuilderPool.Get().(*psgBuilder)
+		sp.builders[c] = b
+		lo, hi := bounds[c], bounds[c+1]
+		// Node and edge slices are cut after the chunk, so the records
+		// point into the builder's final slabs (they may still move
+		// while later routines append); the short entry and exit lists
+		// are cut as they are built.
+		for k := lo; k < hi; k++ {
+			r := &sp.recs[k]
+			r.nodeBase, r.edgeBase = len(b.nodes), len(b.edges)
+			n0, x0 := len(b.entries), len(b.exits)
+			b.buildRoutine(&sp.tasks[k], graphs[k], conf)
+			r.entries, r.exits = b.entries[n0:len(b.entries):len(b.entries)], b.exits[x0:len(b.exits):len(b.exits)]
+		}
+		// The defuse arena's ownership moved to the tasks.
+		b.defuse = nil
+		for k := lo; k < hi; k++ {
+			r := &sp.recs[k]
+			nhi, ehi := len(b.nodes), len(b.edges)
+			if k+1 < hi {
+				nhi, ehi = sp.recs[k+1].nodeBase, sp.recs[k+1].edgeBase
+			}
+			r.nodes, r.edges = b.nodes[r.nodeBase:nhi:nhi], b.edges[r.edgeBase:ehi:ehi]
+		}
+	})
+	return sp, cpu
 }
 
-func (g *PSG) buildRoutine(t *labelTask, ri int, conf Config, scratch *buildScratch) {
-	graph := g.Graphs[ri]
+// chunkBounds splits graphs into at most workers contiguous chunks of
+// roughly equal block count, returned as chunk start indices plus a
+// final len(graphs).
+func chunkBounds(graphs []*cfg.Graph, workers int) []int {
+	k := min(workers, len(graphs))
+	if k <= 1 {
+		return []int{0, len(graphs)}
+	}
+	total := 0
+	for _, gr := range graphs {
+		total += len(gr.Blocks) + 1
+	}
+	bounds := make([]int, 1, k+1)
+	acc := 0
+	for i, gr := range graphs[:len(graphs)-1] {
+		acc += len(gr.Blocks) + 1
+		if len(bounds) < k && acc*k >= total*len(bounds) {
+			bounds = append(bounds, i+1)
+		}
+	}
+	return append(bounds, len(graphs))
+}
+
+// placed records that record k was written at node offset nlo and edge
+// offset elo, so its labeling task addresses the placed slab.
+func (sp *structPass) placed(k, nlo, elo int) {
+	r, t := &sp.recs[k], &sp.tasks[k]
+	t.nodeShift, t.edgeShift = int32(nlo-r.nodeBase), int32(elo-r.edgeBase)
+}
+
+// releaseBuilders returns the builders to their pool once every record
+// has been placed. Their used slab prefixes are cleared first: newNode
+// and addEdge extend into spare capacity assuming zeroed memory.
+func (sp *structPass) releaseBuilders() {
+	for _, b := range sp.builders {
+		clear(b.nodes)
+		clear(b.edges)
+		b.nodes, b.edges = b.nodes[:0], b.edges[:0]
+		b.entries, b.exits = b.entries[:0], b.exits[:0]
+		psgBuilderPool.Put(b)
+	}
+	sp.builders, sp.recs = nil, nil
+}
+
+func (b *psgBuilder) grow(n int) {
+	if cap(b.seen) < n {
+		b.seen = make([]bool, n)
+	}
+	b.seen = b.seen[:n]
+}
+
+// newNode appends a node with the common fields set and returns its ID;
+// callers fill kind-specific fields through b.nodes[id]. Extending into
+// capacity writes four scalars instead of copying a 100-byte Node
+// value. This relies on the slab's spare capacity being zero: fresh
+// makes and append growth both yield zeroed memory, and
+// releaseBuilders clears the used prefix before pooling a builder.
+func (b *psgBuilder) newNode(kind NodeKind, routine, block int) int {
+	id := len(b.nodes)
+	if id < cap(b.nodes) {
+		b.nodes = b.nodes[:id+1]
+	} else {
+		b.nodes = append(b.nodes, Node{})
+	}
+	n := &b.nodes[id]
+	n.ID, n.Kind, n.Routine, n.Block = id, kind, routine, block
+	return id
+}
+
+// addEdge appends an unlabeled edge; like newNode it extends into
+// spare capacity (guaranteed zero) and writes only the scalar fields.
+func (b *psgBuilder) addEdge(kind EdgeKind, src, dst int) int {
+	id := len(b.edges)
+	if id < cap(b.edges) {
+		b.edges = b.edges[:id+1]
+	} else {
+		b.edges = append(b.edges, Edge{})
+	}
+	e := &b.edges[id]
+	e.ID, e.Kind, e.Src, e.Dst = id, kind, src, dst
+	return id
+}
+
+// buildRoutine appends one routine's nodes and edges to the builder's
+// slabs and fills its labeling task. Direct call-return edges are not
+// registered with their callees here: that happens at placement
+// (registerCallers), in routine order.
+func (b *psgBuilder) buildRoutine(t *labelTask, graph *cfg.Graph, conf Config) {
+	ri := graph.RoutineIndex
 	// Under the sparse labeler the routine's chain slab is taken up
 	// front so the node-placement arrays and the discovery buffers live
-	// in it: slab k always serves the k-th routine of a structural pass,
-	// so the buffers converge to that routine's sizes and the steady
-	// state allocates nothing (see defUseArena).
+	// in it: slab k of an arena always serves the k-th routine its
+	// builder builds, so the buffers converge to that routine's sizes
+	// and the steady state allocates nothing (see defUseArena).
 	var du *defUse
 	var rn routineNodes
 	if conf.sparseLabeling() {
-		if scratch.defuse == nil {
-			scratch.defuse = defusePool.Get().(*defUseArena)
-			scratch.defuse.reset()
+		if b.defuse == nil {
+			b.defuse = getArena()
 		}
-		du = scratch.defuse.take()
+		du = b.defuse.take()
 		rn = du.routineNodes(len(graph.Blocks))
 	} else {
 		rn = newRoutineNodes(len(graph.Blocks))
 	}
 
 	// Entry nodes: one per entrance (§3.1).
+	e0 := len(b.entries)
 	for ei, blockID := range graph.EntryBlocks {
-		id := g.newNode(NodeEntry, ri, blockID)
-		g.Nodes[id].EntryIdx = ei
-		g.EntryNodes[ri] = append(g.EntryNodes[ri], id)
+		id := b.newNode(NodeEntry, ri, blockID)
+		b.nodes[id].EntryIdx = ei
+		b.entries = append(b.entries, id)
 	}
+	entries := b.entries[e0:]
 
 	exitOrdinal := 0
-	for _, b := range graph.Blocks {
-		switch b.Term {
+	for _, blk := range graph.Blocks {
+		switch blk.Term {
 		case cfg.TermExit:
-			id := g.newNode(NodeExit, ri, b.ID)
-			g.Nodes[id].EntryIdx = exitOrdinal
+			id := b.newNode(NodeExit, ri, blk.ID)
+			b.nodes[id].EntryIdx = exitOrdinal
 			exitOrdinal++
-			g.ExitNodes[ri] = append(g.ExitNodes[ri], id)
-			rn.sinkAt[b.ID] = int32(id)
+			b.exits = append(b.exits, id)
+			rn.sinkAt[blk.ID] = int32(id)
 		case cfg.TermUnknownJump:
-			id := g.newNode(NodeExit, ri, b.ID)
-			g.Nodes[id].Unknown = true
-			rn.sinkAt[b.ID] = int32(id)
+			id := b.newNode(NodeExit, ri, blk.ID)
+			b.nodes[id].Unknown = true
+			rn.sinkAt[blk.ID] = int32(id)
 		case cfg.TermCall:
-			in := graph.Terminator(b)
+			in := graph.Terminator(blk)
 			callTarget, callEntry := -1, 0
 			if in.Op == isa.OpJsr {
 				callTarget, callEntry = in.Target, int(in.Imm)
 			}
-			callID := g.newNode(NodeCall, ri, b.ID)
-			g.Nodes[callID].CallTarget = callTarget
-			g.Nodes[callID].CallEntry = callEntry
-			rn.sinkAt[b.ID] = int32(callID)
+			callID := b.newNode(NodeCall, ri, blk.ID)
+			b.nodes[callID].CallTarget = callTarget
+			b.nodes[callID].CallEntry = callEntry
+			rn.sinkAt[blk.ID] = int32(callID)
 			// The return node lives at the start of the call's
 			// unique successor block.
-			retBlock := b.Succs[0]
-			retID := g.newNode(NodeReturn, ri, retBlock)
+			retBlock := blk.Succs[0]
+			retID := b.newNode(NodeReturn, ri, retBlock)
 			rn.returnAt[retBlock] = int32(retID)
 			// Call-return edge (§3.1); labeled during phase 1 for
 			// direct calls, pinned to the calling-standard summary
 			// for indirect calls (§3.5).
-			eid := g.addEdge(EdgeCallReturn, callID, retID)
-			if callTarget >= 0 {
-				// CallerEdges is nil while the incremental re-assembly
-				// rebuilds a dirty routine structurally (it shares the
-				// previous registration lists on success and re-registers
-				// from scratch on fallback), so registration is skipped.
-				if g.CallerEdges != nil {
-					g.CallerEdges[callTarget][callEntry] = append(g.CallerEdges[callTarget][callEntry], eid)
-				}
-			} else {
+			eid := b.addEdge(EdgeCallReturn, callID, retID)
+			if callTarget < 0 {
 				s := callstd.UnknownCallSummary()
-				e := &g.Edges[eid]
+				e := &b.edges[eid]
 				e.MayUse, e.MustDef, e.MayDef = s.Used, s.Defined, s.Killed
 			}
 		case cfg.TermMultiway:
@@ -758,21 +978,21 @@ func (g *PSG) buildRoutine(t *labelTask, ri int, conf Config, scratch *buildScra
 			// multiply PSG edges (every return reaches every call
 			// through the back edge); an isolated switch with one
 			// source and one sink would gain an edge from the split.
-			if conf.BranchNodes && graph.BlockInLoop(b.ID) {
-				id := g.newNode(NodeBranch, ri, b.ID)
-				rn.branchAt[b.ID] = int32(id)
-				rn.sinkAt[b.ID] = int32(id)
+			if conf.BranchNodes && graph.BlockInLoop(blk.ID) {
+				id := b.newNode(NodeBranch, ri, blk.ID)
+				rn.branchAt[blk.ID] = int32(id)
+				rn.sinkAt[blk.ID] = int32(id)
 			}
 		}
 	}
 
 	if du != nil {
 		du.build(graph, rn)
-		g.discoverFlowEdgesSparse(t, graph, rn, du, scratch)
-		t.arena = scratch.defuse
+		b.discoverFlowEdgesSparse(t, graph, rn, du, entries)
+		t.arena = b.defuse
 		return
 	}
-	g.discoverFlowEdges(t, graph, rn, scratch)
+	b.discoverFlowEdges(t, graph, rn, entries)
 }
 
 // discoverFlowEdges creates this routine's flow-summary edges with
@@ -782,9 +1002,9 @@ func (g *PSG) buildRoutine(t *labelTask, ri int, conf Config, scratch *buildScra
 // reachability the labeling dataflows compute — and adds one edge per
 // sink, in ascending block order. The labels are filled in later by
 // labelTask.label, possibly on a worker pool.
-func (g *PSG) discoverFlowEdges(t *labelTask, graph *cfg.Graph, rn routineNodes, scratch *buildScratch) {
+func (b *psgBuilder) discoverFlowEdges(t *labelTask, graph *cfg.Graph, rn routineNodes, entries []int) {
 	t.graph, t.rn = graph, rn
-	for _, id := range g.EntryNodes[graph.RoutineIndex] {
+	for _, id := range entries {
 		t.sources = append(t.sources, int32(id))
 	}
 	for blockID := range graph.Blocks {
@@ -795,16 +1015,16 @@ func (g *PSG) discoverFlowEdges(t *labelTask, graph *cfg.Graph, rn routineNodes,
 			t.sources = append(t.sources, id)
 		}
 	}
-	scratch.grow(len(graph.Blocks))
-	reach := scratch.seen
+	b.grow(len(graph.Blocks))
+	reach := b.seen
 	t.refStart = make([]int32, len(t.sources)+1)
 	for si, srcID := range t.sources {
-		src := &g.Nodes[srcID]
+		src := &b.nodes[srcID]
 		for i := range reach {
 			reach[i] = false
 		}
-		stack := scratch.stack[:0]
-		for _, s := range sourceStartBlocks(graph, src, &scratch.startBuf) {
+		stack := b.stack[:0]
+		for _, s := range sourceStartBlocks(graph, src, &b.startBuf) {
 			if !reach[s] {
 				reach[s] = true
 				stack = append(stack, int32(s))
@@ -813,18 +1033,18 @@ func (g *PSG) discoverFlowEdges(t *labelTask, graph *cfg.Graph, rn routineNodes,
 		for len(stack) > 0 {
 			id := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			b := graph.Blocks[id]
-			if rn.isStop(b) {
+			blk := graph.Blocks[id]
+			if rn.isStop(blk) {
 				continue
 			}
-			for _, s := range b.Succs {
+			for _, s := range blk.Succs {
 				if !reach[s] {
 					reach[s] = true
 					stack = append(stack, int32(s))
 				}
 			}
 		}
-		scratch.stack = stack
+		b.stack = stack
 		for blockID, ok := range reach {
 			if !ok {
 				continue
@@ -833,7 +1053,7 @@ func (g *PSG) discoverFlowEdges(t *labelTask, graph *cfg.Graph, rn routineNodes,
 			if sinkID < 0 {
 				continue
 			}
-			eid := g.addEdge(EdgeFlow, src.ID, int(sinkID))
+			eid := b.addEdge(EdgeFlow, src.ID, int(sinkID))
 			t.refs = append(t.refs, flowEdgeRef{sink: int32(blockID), edge: int32(eid)})
 		}
 		t.refStart[si+1] = int32(len(t.refs))

@@ -144,17 +144,18 @@ func ReanalyzeContext(ctx context.Context, prev *Analysis, patched *prog.Program
 	prevHashes := prev.BodyHashes()
 	newHashes := make([]uint64, nNew)
 	clean := make([]bool, nNew)
-	var dirty []int
-	for ri, r := range patched.Routines {
+	par.ForEach(nNew, workers, func(ri int) {
+		r := patched.Routines[ri]
 		if ri < nOld && r == prev.Prog.Routines[ri] {
-			clean[ri] = true
-			newHashes[ri] = prevHashes[ri]
-			continue
+			clean[ri], newHashes[ri] = true, prevHashes[ri]
+			return
 		}
 		newHashes[ri] = r.Hash()
-		if ri < nOld && newHashes[ri] == prevHashes[ri] {
-			clean[ri] = true
-		} else {
+		clean[ri] = ri < nOld && newHashes[ri] == prevHashes[ri]
+	})
+	var dirty []int
+	for ri, c := range clean {
+		if !c {
 			dirty = append(dirty, ri)
 		}
 	}
@@ -163,7 +164,7 @@ func ReanalyzeContext(ctx context.Context, prev *Analysis, patched *prog.Program
 	rt.Arg(rsp, "dirty_routines", int64(len(dirty)))
 	rt.End(rsp)
 
-	if err := validatePatched(patched, prev, dirty); err != nil {
+	if err := validatePatched(patched, prev, dirty, workers); err != nil {
 		return nil, err
 	}
 	if err := cancelled(); err != nil {
@@ -211,21 +212,15 @@ func ReanalyzeContext(ctx context.Context, prev *Analysis, patched *prog.Program
 	// ---- PSG assembly --------------------------------------------------
 	start = time.Now()
 	rsp = rt.Begin(rparent, "psg build")
-	nodeDelta, tasks, shapeSame, linksShared := a.assemblePSG(prev, clean, dirty, conf)
-	cpu := time.Since(start)
-	ltasks := tasks
-	flowEdges := conf.Metrics.Counter("label/flow_edges")
-	defuseLinks := conf.Metrics.Counter("label/defuse_links")
-	chainSteps := conf.Metrics.Counter("label/chain_steps")
-	denseFallbacks := conf.Metrics.Counter("label/dense_fallbacks")
-	cpu += par.ForEachSpan(conf.Tracer, "label", len(ltasks), workers, func(i int) {
-		st := ltasks[i].label(a.PSG, conf)
-		flowEdges.Add(uint64(len(ltasks[i].refs)))
-		defuseLinks.Add(st.links)
-		chainSteps.Add(st.steps)
-		denseFallbacks.Add(st.dense)
-	})
-	releaseTasks(ltasks)
+	dirtyGraphs := make([]*cfg.Graph, len(dirty))
+	for i, ri := range dirty {
+		dirtyGraphs[i] = a.Graphs[ri]
+	}
+	sp, cpu := buildStructure(dirtyGraphs, conf)
+	placeStart := time.Now()
+	nodeDelta, shapeSame, linksShared := a.assemblePSG(prev, clean, dirty, sp, conf)
+	cpu += time.Since(placeStart)
+	cpu += a.PSG.labelTasks(sp.tasks, conf)
 	srCPU, srShared := a.incrementalSavedRestored(prev, cg, clean, dirty)
 	cpu += srCPU
 	a.Stats.PSGBuildCPU = cpu
@@ -407,8 +402,9 @@ func ReanalyzeContext(ctx context.Context, prev *Analysis, patched *prog.Program
 // plus their direct callers (whose entry-selector immediates must still
 // be in range if the edit changed an entrance list). When the routine
 // count shrank, clean routines may suddenly target removed indices, so
-// the whole program is validated.
-func validatePatched(patched *prog.Program, prev *Analysis, dirty []int) error {
+// the whole program is validated. The routines are checked on the
+// worker pool; the first error in routine order is reported.
+func validatePatched(patched *prog.Program, prev *Analysis, dirty []int, workers int) error {
 	nNew, nOld := len(patched.Routines), len(prev.Prog.Routines)
 	if nNew < nOld {
 		if err := patched.Validate(); err != nil {
@@ -431,229 +427,146 @@ func validatePatched(patched *prog.Program, prev *Analysis, dirty []int) error {
 			}
 		}
 	}
+	var check []int
 	for ri, n := range need {
-		if !n {
-			continue
+		if n {
+			check = append(check, ri)
 		}
-		if err := patched.ValidateRoutine(ri); err != nil {
+	}
+	errs := make([]error, len(check))
+	par.ForEach(len(check), workers, func(i int) {
+		errs[i] = patched.ValidateRoutine(check[i])
+	})
+	for _, err := range errs {
+		if err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
 	}
 	return nil
 }
 
-// assemblePSG builds the patched program's PSG, copying clean routines'
-// node and edge slab ranges (converged sets and labels included) from
-// prev with IDs shifted to their new offsets, and running the normal
-// structural pass for dirty routines. It returns the per-routine node
-// ID delta (new − old, meaningful where clean), the labeling tasks of
-// the dirty routines, and two reuse facts: shapeSame reports that the
-// new PSG is structurally identical to prev's (same nodes, edges and
-// IDs throughout — the adjacency and index lists are then shared with
-// prev), and linksShared that the phase-2 return-site links were shared
-// too, so linkReturnSites may be skipped.
+// assemblePSG builds the patched program's PSG from the dirty routines'
+// structure-pass records (sp, parallel to dirty) and prev's slab ranges
+// of the clean routines, which are copied — converged sets and labels
+// included — with IDs shifted to their new offsets. It returns the
+// per-routine node ID delta (new − old, meaningful where clean) and two
+// reuse facts: shapeSame reports that the new PSG is structurally
+// identical to prev's (same nodes, edges and IDs throughout — the
+// adjacency and index lists are then shared with prev), and linksShared
+// that the phase-2 return-site links were shared too, so
+// linkReturnSites may be skipped. Either way every record is placed and
+// sp's builders are released.
 //
-// The interleaved index-order walk reproduces exactly the slab layout,
-// entry/exit index lists and CallerEdges append order of a from-scratch
-// buildPSG: nodes and edges are routine-contiguous in routine order,
-// and within a routine the copied range preserves creation order.
-func (a *Analysis) assemblePSG(prev *Analysis, clean []bool, dirty []int, conf Config) (delta []int, tasks []labelTask, shapeSame, linksShared bool) {
-	patched, graphs := a.Prog, a.Graphs
+// The general path lays the records out exactly as a from-scratch
+// buildPSG does: nodes and edges are routine-contiguous in routine
+// order, a copied range preserves creation order, and caller edges are
+// registered in edge-ID order, so slabs, index lists and CallerEdges
+// are byte-identical.
+func (a *Analysis) assemblePSG(prev *Analysis, clean []bool, dirty []int, sp *structPass, conf Config) (delta []int, shapeSame, linksShared bool) {
+	defer sp.releaseBuilders()
 	pg := prev.PSG
-	nNew, nOld := len(patched.Routines), len(prev.Prog.Routines)
+	nNew, nOld := len(a.Prog.Routines), len(prev.Prog.Routines)
 	oldNodeStart, oldEdgeStart := pg.routineBounds()
-
 	if nNew == nOld {
-		if nodeDelta, tasks, linksShared, ok := a.assemblePSGShared(prev, dirty, conf, oldNodeStart, oldEdgeStart); ok {
-			return nodeDelta, tasks, true, linksShared
+		if linksShared, ok := a.assemblePSGShared(prev, dirty, sp, conf, oldNodeStart, oldEdgeStart); ok {
+			return make([]int, nNew), true, linksShared
 		}
 	}
-
-	// Clean routines copy their exact ranges; a dirty routine reserves
-	// two edges per node, as a from-scratch build does.
-	nodeCap, edgeCap := 0, 0
-	for ri := range patched.Routines {
+	recs := make([]routineRec, nNew)
+	k := 0
+	for ri := range recs {
 		if clean[ri] {
-			nodeCap += int(oldNodeStart[ri+1] - oldNodeStart[ri])
-			edgeCap += int(oldEdgeStart[ri+1] - oldEdgeStart[ri])
-			continue
+			recs[ri] = prevRec(pg, ri, oldNodeStart, oldEdgeStart)
+		} else {
+			recs[ri] = sp.recs[k]
+			k++
 		}
-		g := graphs[ri]
-		n := len(g.EntryBlocks)
-		for _, b := range g.Blocks {
-			switch b.Term {
-			case cfg.TermExit, cfg.TermUnknownJump, cfg.TermMultiway:
-				n++
-			case cfg.TermCall:
-				n += 2
-			}
-		}
-		nodeCap += n
-		edgeCap += 2 * n
 	}
-
-	g := &PSG{
-		Prog:        patched,
-		Graphs:      graphs,
-		Nodes:       make([]Node, 0, nodeCap),
-		Edges:       make([]Edge, 0, edgeCap),
-		EntryNodes:  make([][]int, nNew),
-		ExitNodes:   make([][]int, nNew),
-		CallerEdges: make([][][]int, nNew),
-	}
-	for ri := range patched.Routines {
-		g.CallerEdges[ri] = make([][]int, len(patched.Routines[ri].Entries))
-	}
+	g := &PSG{Prog: a.Prog, Graphs: a.Graphs}
+	g.layout(recs, conf.Workers())
 	a.PSG = g
-
 	nodeDelta := make([]int, nNew)
-	g.nodeStart = make([]int32, nNew+1)
-	g.edgeStart = make([]int32, nNew+1)
-	var scratch buildScratch
-	tasks = make([]labelTask, 0, len(dirty))
-	for ri := range patched.Routines {
-		g.nodeStart[ri] = int32(len(g.Nodes))
-		g.edgeStart[ri] = int32(len(g.Edges))
-		if !clean[ri] {
-			tasks = append(tasks, labelTask{})
-			g.buildRoutine(&tasks[len(tasks)-1], ri, conf, &scratch)
-			continue
-		}
-		nlo, nhi := int(oldNodeStart[ri]), int(oldNodeStart[ri+1])
-		elo, ehi := int(oldEdgeStart[ri]), int(oldEdgeStart[ri+1])
-		nd := len(g.Nodes) - nlo
-		ed := len(g.Edges) - elo
-		nodeDelta[ri] = nd
-		g.Nodes = append(g.Nodes, pg.Nodes[nlo:nhi]...)
-		g.Edges = append(g.Edges, pg.Edges[elo:ehi]...)
-		if nd != 0 {
-			for i := nlo + nd; i < nhi+nd; i++ {
-				g.Nodes[i].ID += nd
-			}
-		}
-		if nd != 0 || ed != 0 {
-			for i := elo + ed; i < ehi+ed; i++ {
-				e := &g.Edges[i]
-				e.ID += ed
-				e.Src += nd
-				e.Dst += nd
-			}
-		}
-		for _, id := range pg.EntryNodes[ri] {
-			g.EntryNodes[ri] = append(g.EntryNodes[ri], id+nd)
-		}
-		for _, id := range pg.ExitNodes[ri] {
-			g.ExitNodes[ri] = append(g.ExitNodes[ri], id+nd)
-		}
-		// Re-register the copied call-return edges with their targets.
-		// Scanning the copied range in edge-ID order reproduces the
-		// creation order of a from-scratch build, so each
-		// CallerEdges[tgt][entry] list is byte-identical.
-		for i := elo + ed; i < ehi+ed; i++ {
-			e := &g.Edges[i]
-			if e.Kind != EdgeCallReturn {
-				continue
-			}
-			call := &g.Nodes[e.Src]
-			if call.CallTarget >= 0 {
-				g.CallerEdges[call.CallTarget][call.CallEntry] =
-					append(g.CallerEdges[call.CallTarget][call.CallEntry], e.ID)
-			}
+	for ri := range recs {
+		if clean[ri] {
+			nodeDelta[ri] = int(g.nodeStart[ri]) - recs[ri].nodeBase
 		}
 	}
-	g.nodeStart[nNew] = int32(len(g.Nodes))
-	g.edgeStart[nNew] = int32(len(g.Edges))
-	g.buildAdjacency()
-	return nodeDelta, tasks, false, false
+	for k, ri := range dirty {
+		sp.placed(k, int(g.nodeStart[ri]), int(g.edgeStart[ri]))
+	}
+	return nodeDelta, false, false
 }
 
 // assemblePSGShared is assemblePSG's structural-reuse fast path for the
-// common case that an edit preserves every routine's PSG shape (a body
-// edit that does not touch control flow or call sites). It copies both
-// slabs wholesale — one memcpy each, converged sets and labels included
-// — rebuilds only the dirty routines' ranges in place, and verifies the
-// rebuilt ranges are structurally identical to the previous ones. On
-// success the new PSG shares prev's CSR adjacency, entry/exit index
-// lists, caller-edge registrations and (when still valid) return-site
-// links: all are pure functions of the structure just proven unchanged,
-// and are treated as read-only by both analyses. Any mismatch abandons
-// the attempt — the copied slabs are discarded, possibly mid-rebuild —
-// and the caller falls back to the general interleaved walk, which
-// re-copies everything from prev.
-func (a *Analysis) assemblePSGShared(prev *Analysis, dirty []int, conf Config, nodeStart, edgeStart []int32) ([]int, []labelTask, bool, bool) {
+// common case that an edit preserves every routine's PSG shape: a body
+// edit that does not touch call sites or exits, including one that
+// empties blocks and so renumbers the blocks after them. It first
+// compares every dirty record against the range it would replace
+// (routineRec.sameShape); only when all match does it copy both slabs
+// wholesale — one memcpy each, converged sets and labels included — and
+// write the records over their ranges. The new PSG then shares prev's
+// CSR adjacency, entry/exit index lists, caller-edge registrations and
+// (when still valid) return-site links: all are pure functions of the
+// structure just proven unchanged, and are treated as read-only by both
+// analyses. On a mismatch nothing has been copied, and the caller lays
+// the same records out on the general path.
+func (a *Analysis) assemblePSGShared(prev *Analysis, dirty []int, sp *structPass, conf Config, nodeStart, edgeStart []int32) (linksShared, ok bool) {
 	pg := prev.PSG
-	nNew := len(a.Prog.Routines)
-	nodes := append([]Node(nil), pg.Nodes...)
-	edges := append([]Edge(nil), pg.Edges...)
-	g := &PSG{
-		Prog:   a.Prog,
-		Graphs: a.Graphs,
-		// CallerEdges stays nil: buildRoutine skips registration, and the
-		// structural compare below proves prev's lists still correct.
-		EntryNodes: make([][]int, nNew),
-		ExitNodes:  make([][]int, nNew),
-	}
-	var scratch buildScratch
-	tasks := make([]labelTask, 0, len(dirty))
 	addrTakenSame := true
-	for _, ri := range dirty {
-		nlo, nhi := int(nodeStart[ri]), int(nodeStart[ri+1])
-		elo, ehi := int(edgeStart[ri]), int(edgeStart[ri+1])
-		// Truncate to the routine's offset and let buildRoutine append
-		// its nodes and edges into the copy's capacity, overwriting the
-		// stale range in place.
-		g.Nodes = nodes[:nlo]
-		g.Edges = edges[:elo]
-		tasks = append(tasks, labelTask{})
-		g.buildRoutine(&tasks[len(tasks)-1], ri, conf, &scratch)
-		if len(g.Nodes) != nhi || len(g.Edges) != ehi {
-			releaseTasks(tasks)
-			return nil, nil, false, false
+	for k, ri := range dirty {
+		nlo, nhi := nodeStart[ri], nodeStart[ri+1]
+		elo, ehi := edgeStart[ri], edgeStart[ri+1]
+		if !sp.recs[k].sameShape(pg.Nodes[nlo:nhi], pg.Edges[elo:ehi], int(nlo), prev.Graphs[ri], a.Graphs[ri]) {
+			return false, false
 		}
-		for i := nlo; i < nhi; i++ {
-			n, p := &g.Nodes[i], &pg.Nodes[i]
-			if n.Kind != p.Kind || n.Block != p.Block || n.EntryIdx != p.EntryIdx ||
-				n.CallTarget != p.CallTarget || n.CallEntry != p.CallEntry ||
-				n.Unknown != p.Unknown {
-				releaseTasks(tasks)
-				return nil, nil, false, false
-			}
-		}
-		for i := elo; i < ehi; i++ {
-			e, p := &g.Edges[i], &pg.Edges[i]
-			if e.Kind != p.Kind || e.Src != p.Src || e.Dst != p.Dst {
-				releaseTasks(tasks)
-				return nil, nil, false, false
-			}
-		}
-		// The return-site links additionally depend on each exit's
-		// terminator op (ret vs halt) and — in a closed world — on the
-		// address-taken flags; a body edit can change either without
-		// moving a single node.
-		for _, x := range g.ExitNodes[ri] {
-			n := &g.Nodes[x]
-			if !n.Unknown && g.isRetExit(n) != pg.isRetExit(&pg.Nodes[x]) {
-				releaseTasks(tasks)
-				return nil, nil, false, false
-			}
-		}
+		// The return-site links additionally depend — in a closed world —
+		// on the address-taken flags, which a body edit can change
+		// without moving a single node.
 		if a.Prog.Routines[ri].AddressTaken != prev.Prog.Routines[ri].AddressTaken {
 			addrTakenSame = false
 		}
 	}
-	g.Nodes, g.Edges = nodes, edges
-	g.EntryNodes, g.ExitNodes = pg.EntryNodes, pg.ExitNodes
-	g.CallerEdges = pg.CallerEdges
-	g.outStart, g.inStart = pg.outStart, pg.inStart
-	g.outEdgeIDs, g.inEdgeIDs = pg.outEdgeIDs, pg.inEdgeIDs
-	g.nodeStart, g.edgeStart = nodeStart, edgeStart
-	linksShared := pg.retStart != nil && (addrTakenSame || !conf.LinkIndirectCalls)
+	g := &PSG{
+		Prog:        a.Prog,
+		Graphs:      a.Graphs,
+		Nodes:       cloneSlab(pg.Nodes, conf.Workers()),
+		Edges:       cloneSlab(pg.Edges, conf.Workers()),
+		EntryNodes:  pg.EntryNodes,
+		ExitNodes:   pg.ExitNodes,
+		CallerEdges: pg.CallerEdges,
+		outStart:    pg.outStart,
+		inStart:     pg.inStart,
+		outEdgeIDs:  pg.outEdgeIDs,
+		inEdgeIDs:   pg.inEdgeIDs,
+		nodeStart:   nodeStart,
+		edgeStart:   edgeStart,
+	}
+	par.ForEach(len(dirty), conf.Workers(), func(k int) {
+		ri := dirty[k]
+		sp.recs[k].writeAt(g.Nodes, g.Edges, int(nodeStart[ri]), int(edgeStart[ri]))
+	})
+	for k, ri := range dirty {
+		sp.placed(k, int(nodeStart[ri]), int(edgeStart[ri]))
+	}
+	linksShared = pg.retStart != nil && (addrTakenSame || !conf.LinkIndirectCalls)
 	if linksShared {
 		g.retStart, g.retSiteIDs = pg.retStart, pg.retSiteIDs
 		g.depStart, g.depExitIDs = pg.depStart, pg.depExitIDs
 	}
 	a.PSG = g
-	return make([]int, nNew), tasks, linksShared, true
+	return linksShared, true
+}
+
+// cloneSlab copies a node or edge slab, one contiguous chunk per
+// worker.
+func cloneSlab[T Node | Edge](s []T, workers int) []T {
+	c := make([]T, len(s))
+	k := min(par.Workers(workers), 1+len(s)/4096)
+	par.ForEach(k, k, func(i int) {
+		lo, hi := len(s)*i/k, len(s)*(i+1)/k
+		copy(c[lo:hi], s[lo:hi])
+	})
+	return c
 }
 
 // incrementalSavedRestored recomputes the §3.4 sets: clean routines
@@ -673,22 +586,7 @@ func (a *Analysis) incrementalSavedRestored(prev *Analysis, cg *callgraph.Graph,
 	g := a.PSG
 	n := len(a.Prog.Routines)
 	prevFrames := prev.PSG.FrameFacts()
-	dirtyFrames := make([]FrameFact, len(dirty))
-	for i, ri := range dirty {
-		r := a.Prog.Routines[ri]
-		scratch := frameScratch{
-			deltas: make([]int64, len(r.Code)),
-			flags:  make([]uint8, len(r.Code)),
-			work:   make([]int32, 0, len(r.Code)),
-		}
-		var fi frameInfo
-		frameScan(&fi, r, &scratch)
-		f := FrameFact{Clean: fi.clean, HasIndirect: fi.hasIndirect}
-		if fi.clean {
-			f.LocalSaved = savedRestored(r, &fi)
-		}
-		dirtyFrames[i] = f
-	}
+	dirtyFrames := scanFrames(a.Prog, dirty, a.Config.Workers())
 	if cg.StructureReused() && n == len(prevFrames) {
 		same := true
 		for i, ri := range dirty {
@@ -735,20 +633,20 @@ func (a *Analysis) incrementalSavedRestored(prev *Analysis, cg *callgraph.Graph,
 // prev's table and are always recomputed (their components are dirty by
 // construction, but the copy cannot cover them).
 func (a *Analysis) collectSummariesIncremental(prev *Analysis, cg *callgraph.Graph, resolved1, resolved2 []bool) {
-	n := len(a.Prog.Routines)
-	a.Summaries = make([]RoutineSummary, n)
+	a.Summaries = make([]RoutineSummary, len(a.Prog.Routines))
 	copied := copy(a.Summaries, prev.Summaries)
-	for ri := copied; ri < n; ri++ {
-		a.Summaries[ri] = a.collectSummary(ri)
-	}
-	for c := 0; c < cg.NumComponents(); c++ {
-		if !resolved1[c] && !resolved2[c] {
-			continue
-		}
-		for _, ri := range cg.Members(c) {
+	a.recollectSummaries(cg, resolved1, resolved2, copied)
+}
+
+// recollectSummaries re-reads, on the worker pool, the summaries of the
+// routines at index from and beyond and of every member of a component
+// either phase re-solved.
+func (a *Analysis) recollectSummaries(cg *callgraph.Graph, resolved1, resolved2 []bool, from int) {
+	par.ForEach(len(a.Summaries), a.Config.Workers(), func(ri int) {
+		if c := cg.Component(ri); ri >= from || resolved1[c] || resolved2[c] {
 			a.Summaries[ri] = a.collectSummary(ri)
 		}
-	}
+	})
 }
 
 // collectCountsIncremental fills the structural counts from prev's by

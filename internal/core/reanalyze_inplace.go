@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
-	"repro/internal/isa"
 	"repro/internal/par"
 	"repro/internal/prog"
 	"repro/internal/regset"
@@ -32,18 +31,16 @@ import (
 // The in-place update requires everything structural to be provably
 // unchanged before the first write: same routine count, every edited
 // routine re-scanning to the same call edges and §3.4 frame facts, and
-// its rebuilt PSG range landing on the same nodes and edges. The dirty
-// rebuild therefore appends into the slab range it replaces through a
-// capacity-clamped view, keeps a copy of the old range, and verifies
-// the new structure against it — on any mismatch the range is restored
-// and the whole call falls back to the copying Reanalyze (prev is
-// still pristine at that point, since every other precondition was
-// checked before the rebuild). Arrays an analysis may share with an
-// older analysis in a re-analysis chain — entry/exit index lists,
-// caller-edge registrations, CSR adjacency, return-site links, frame
-// facts, the scheduler shape, the call graph's derived arrays — are
-// never written at all: the structure proofs make them describe the
-// patched program verbatim.
+// its rebuilt PSG structure matching the range it replaces. The dirty
+// routines are therefore built into worker-local records first
+// (buildStructure) and verified against their ranges; on any mismatch
+// the whole call falls back to the copying Reanalyze with prev still
+// pristine. Arrays an analysis may share with an older analysis in a
+// re-analysis chain — entry/exit index lists, caller-edge
+// registrations, CSR adjacency, return-site links, frame facts, the
+// scheduler shape, the call graph's derived arrays — are never written
+// at all: the structure proofs make them describe the patched program
+// verbatim.
 
 // ReanalyzeInPlace computes the analysis of patched by updating prev in
 // place, consuming it: prev must not be used again by the caller —
@@ -118,23 +115,25 @@ func reanalyzeInPlace(ctx context.Context, conf Config, prev *Analysis, patched 
 	oldProg := prev.Prog
 	prevHashes := prev.BodyHashes()
 	clean := make([]bool, nNew)
+	hashes := make([]uint64, nNew)
+	par.ForEach(nNew, workers, func(ri int) {
+		if r := patched.Routines[ri]; r != oldProg.Routines[ri] {
+			hashes[ri] = r.Hash()
+			clean[ri] = hashes[ri] == prevHashes[ri]
+		} else {
+			clean[ri] = true
+		}
+	})
 	var dirty []int
 	var dirtyHashes []uint64
-	for ri, r := range patched.Routines {
-		if r == oldProg.Routines[ri] {
-			clean[ri] = true
-			continue
+	for ri, c := range clean {
+		if !c {
+			dirty = append(dirty, ri)
+			dirtyHashes = append(dirtyHashes, hashes[ri])
 		}
-		h := r.Hash()
-		if h == prevHashes[ri] {
-			clean[ri] = true
-			continue
-		}
-		dirty = append(dirty, ri)
-		dirtyHashes = append(dirtyHashes, h)
 	}
 	asp.Arg("dirty_routines", int64(len(dirty)))
-	if err := validatePatched(patched, prev, dirty); err != nil {
+	if err := validatePatched(patched, prev, dirty, workers); err != nil {
 		return nil, true, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -175,20 +174,8 @@ func reanalyzeInPlace(ctx context.Context, conf Config, prev *Analysis, patched 
 	// chain, so the in-place path never rewrites them — it proves it
 	// does not have to. A moved set falls back.
 	prevFrames := g.FrameFacts()
-	for i := range work {
-		r := patched.Routines[work[i].ri]
-		scratch := frameScratch{
-			deltas: make([]int64, len(r.Code)),
-			flags:  make([]uint8, len(r.Code)),
-			work:   make([]int32, 0, len(r.Code)),
-		}
-		var fi frameInfo
-		frameScan(&fi, r, &scratch)
-		f := FrameFact{Clean: fi.clean, HasIndirect: fi.hasIndirect}
-		if fi.clean {
-			f.LocalSaved = savedRestored(r, &fi)
-		}
-		if f != prevFrames[work[i].ri] {
+	for i, f := range scanFrames(patched, dirty, workers) {
+		if f != prevFrames[dirty[i]] {
 			return nil, false, nil
 		}
 	}
@@ -204,81 +191,49 @@ func reanalyzeInPlace(ctx context.Context, conf Config, prev *Analysis, patched 
 		bytesDelta += int64(work[i].graph.MemoryFootprint()) - int64(work[i].oldGraph.MemoryFootprint())
 	}
 
-	// ---- slab rebuild (first writes; restorable until verified) --------
-	// Each dirty routine is rebuilt by appending into its own slab range
-	// through a capacity-clamped view — the length check below catches a
-	// range that would grow (the append then reallocates away from the
-	// slab, leaving at most the backed-up range dirty) or shrink. The
-	// backup makes any bail restorable: the copying fallback then sees a
-	// structurally pristine prev. Ranges of routines verified before a
-	// later bail keep the rebuilt structure — identical by the same
-	// check — and zeroed converged values, which no fallback path reads
-	// (dirty ranges are rebuilt, re-labeled and re-solved in any mode).
+	// ---- structure (pure until every record is verified) ---------------
+	// The dirty routines are built on the pool into worker-local records
+	// and compared against the ranges they would replace; only when all
+	// match are they written over prev's slab. A mismatch returns before
+	// the first write, so the copying fallback sees a pristine prev.
 	start = time.Now()
 	nodeStart, edgeStart := g.routineBounds()
-	en := make([][]int, nNew)
-	ex := make([][]int, nNew)
-	var bakN []Node
-	var bakE []Edge
-	var scratch buildScratch
-	tasks := make([]labelTask, 0, len(work))
+	graphs := make([]*cfg.Graph, len(work))
+	for k := range work {
+		graphs[k] = work[k].graph
+	}
+	sp, cpu := buildStructure(graphs, conf)
 	for k := range work {
 		ri := work[k].ri
-		nlo, nhi := int(nodeStart[ri]), int(nodeStart[ri+1])
-		elo, ehi := int(edgeStart[ri]), int(edgeStart[ri+1])
-		bakN = append(bakN[:0], g.Nodes[nlo:nhi]...)
-		bakE = append(bakE[:0], g.Edges[elo:ehi]...)
-		// newNode/addEdge extend into spare capacity assuming zeroed
-		// memory; these windows hold the old routine's nodes and edges,
-		// so clear them (the fallback path restores from bakN/bakE).
-		clear(g.Nodes[nlo:nhi])
-		clear(g.Edges[elo:ehi])
-		a.Graphs[ri] = work[k].graph
-		g.Graphs[ri] = work[k].graph
-		en[ri], ex[ri] = nil, nil
-		v := &PSG{
-			Prog:   patched,
-			Graphs: a.Graphs,
-			Nodes:  g.Nodes[:nlo:nhi],
-			Edges:  g.Edges[:elo:ehi],
-			// Fresh entry/exit lists and nil CallerEdges: the slab-owner's
-			// lists may be shared across the chain and the structure proof
-			// keeps them valid, so buildRoutine must not append to them
-			// (CallerEdges registration is suppressed by the nil).
-			EntryNodes: en,
-			ExitNodes:  ex,
-		}
-		tasks = append(tasks, labelTask{})
-		v.buildRoutine(&tasks[len(tasks)-1], ri, conf, &scratch)
-		if len(v.Nodes) != nhi || len(v.Edges) != ehi ||
-			!inPlaceShapeSame(g, bakN, bakE, nlo, elo, work[k].oldGraph, work[k].graph, ex[ri]) {
-			copy(g.Nodes[nlo:nhi], bakN)
-			copy(g.Edges[elo:ehi], bakE)
-			for j := 0; j <= k; j++ {
-				a.Graphs[work[j].ri] = work[j].oldGraph
-				g.Graphs[work[j].ri] = work[j].oldGraph
-			}
-			releaseTasks(tasks)
+		nlo, nhi := nodeStart[ri], nodeStart[ri+1]
+		elo, ehi := edgeStart[ri], edgeStart[ri+1]
+		if !sp.recs[k].sameShape(g.Nodes[nlo:nhi], g.Edges[elo:ehi], int(nlo), work[k].oldGraph, work[k].graph) {
+			sp.releaseBuilders()
+			releaseTasks(sp.tasks)
 			return nil, false, nil
 		}
 	}
 
 	// ---- commit --------------------------------------------------------
 	// From here on prev is gone; every structure now describes patched.
-	cpu := time.Since(start)
-	flowEdges := conf.Metrics.Counter("label/flow_edges")
-	defuseLinks := conf.Metrics.Counter("label/defuse_links")
-	chainSteps := conf.Metrics.Counter("label/chain_steps")
-	denseFallbacks := conf.Metrics.Counter("label/dense_fallbacks")
-	ltasks := tasks
-	cpu += par.ForEachSpan(conf.Tracer, "label", len(ltasks), workers, func(i int) {
-		st := ltasks[i].label(g, conf)
-		flowEdges.Add(uint64(len(ltasks[i].refs)))
-		defuseLinks.Add(st.links)
-		chainSteps.Add(st.steps)
-		denseFallbacks.Add(st.dense)
+	// Arrays an analysis may share with an older one in a re-analysis
+	// chain — entry/exit index lists, caller-edge registrations, CSR
+	// adjacency, return-site links — are never written: the records just
+	// proved them valid verbatim.
+	commit := time.Now()
+	par.ForEach(len(work), workers, func(k int) {
+		ri := work[k].ri
+		sp.recs[k].writeAt(g.Nodes, g.Edges, int(nodeStart[ri]), int(edgeStart[ri]))
 	})
-	releaseTasks(ltasks)
+	for k := range work {
+		ri := work[k].ri
+		sp.placed(k, int(nodeStart[ri]), int(edgeStart[ri]))
+		a.Graphs[ri] = work[k].graph
+		g.Graphs[ri] = work[k].graph
+	}
+	sp.releaseBuilders()
+	cpu += time.Since(commit)
+	cpu += g.labelTasks(sp.tasks, conf)
 	psgWall := time.Since(start)
 	a.Prog = patched
 	g.Prog = patched
@@ -403,11 +358,9 @@ func reanalyzeInPlace(ctx context.Context, conf Config, prev *Analysis, patched 
 		}
 		if resolved1[c] || resolved2[c] {
 			inc.ResolvedComponents++
-			for _, ri := range cg.Members(c) {
-				a.Summaries[ri] = a.collectSummary(ri)
-			}
 		}
 	}
+	a.recollectSummaries(cg, resolved1, resolved2, nNew)
 	inc.ReusedComponents = nComp - inc.ResolvedComponents
 	a.Incremental = inc
 	a.livOnce = make([]sync.Once, nNew)
@@ -417,37 +370,4 @@ func reanalyzeInPlace(ctx context.Context, conf Config, prev *Analysis, patched 
 		Arg("reused_components", int64(inc.ReusedComponents))
 	a.publishMetrics(wlGets0, wlNews0, lbGets0, lbNews0, duGets0, duNews0)
 	return a, true, nil
-}
-
-// inPlaceShapeSame verifies a rebuilt slab range against the backup of
-// the range it replaced: same node and edge structure (IDs hold by
-// construction — the rebuild appended at the old offsets), and the same
-// ret-vs-halt terminator split per real exit, which the shared
-// return-site links and phase-2 seeds depend on. exits lists the
-// rebuilt routine's real exit node IDs.
-func inPlaceShapeSame(g *PSG, bakN []Node, bakE []Edge, nlo, elo int, oldGraph, newGraph *cfg.Graph, exits []int) bool {
-	for i := range bakN {
-		n, p := &g.Nodes[nlo+i], &bakN[i]
-		if n.Kind != p.Kind || n.Block != p.Block || n.EntryIdx != p.EntryIdx ||
-			n.CallTarget != p.CallTarget || n.CallEntry != p.CallEntry ||
-			n.Unknown != p.Unknown {
-			return false
-		}
-	}
-	for i := range bakE {
-		e, p := &g.Edges[elo+i], &bakE[i]
-		if e.Kind != p.Kind || e.Src != p.Src || e.Dst != p.Dst {
-			return false
-		}
-	}
-	for _, x := range exits {
-		n := &g.Nodes[x]
-		old := &bakN[x-nlo]
-		newRet := newGraph.Terminator(newGraph.Blocks[n.Block]).Op == isa.OpRet
-		oldRet := oldGraph.Terminator(oldGraph.Blocks[old.Block]).Op == isa.OpRet
-		if newRet != oldRet {
-			return false
-		}
-	}
-	return true
 }

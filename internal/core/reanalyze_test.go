@@ -6,7 +6,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/isa"
+	"repro/internal/prog"
 	"repro/internal/progen"
+	"repro/internal/regset"
 )
 
 // checkSameAnalysis verifies that an incremental re-analysis landed on
@@ -190,4 +193,116 @@ func TestConfigKey(t *testing.T) {
 		}
 	}
 	_ = fmt.Sprintf("%s", got)
+}
+
+// TestReanalyzeUnknownJumpBecomesRet turns an unknown-target jump into a
+// ret without moving a single PSG node: the exit node keeps its place
+// but loses its Unknown flag and joins the routine's real exits. Both
+// re-analysis modes must rebuild that node from scratch, not compare
+// the stale flag against itself or adopt the previous exit lists.
+func TestReanalyzeUnknownJumpBecomesRet(t *testing.T) {
+	const before = `
+.start main
+.routine main
+  jsr f
+  halt
+.routine f
+  lda v0, 2(zero)
+  jmp t0, ?
+`
+	const after = `
+.start main
+.routine main
+  jsr f
+  halt
+.routine f
+  lda v0, 2(zero)
+  ret
+`
+	base := prog.MustAssemble(before)
+	patched := base.ShallowClone()
+	patched.Routines[1] = prog.MustAssemble(after).Routines[1]
+	scratch, err := Analyze(patched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := scratch.Summary(0); !s.CallUsed[0].IsEmpty() || !s.LiveAtEntry[0].IsEmpty() {
+		t.Fatalf("scratch: main call-used %v, live-at-entry %v; want {}", s.CallUsed[0], s.LiveAtEntry[0])
+	}
+	for name, re := range map[string]func(*Analysis, *prog.Program, ...Option) (*Analysis, error){
+		"copying": Reanalyze, "in-place": ReanalyzeInPlace,
+	} {
+		prev, err := Analyze(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc, err := re(prev, patched)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkSameAnalysis(t, inc, scratch)
+	}
+}
+
+// TestReanalyzeParallelPlacementFallback edits every routine of a
+// program at parallelism 4, so the dirty routines span every
+// structure-pass chunk, and gives one routine in the middle a new call
+// site: the shared path's shape check fails there after the chunks
+// before and after it have matched, and the general layout must place
+// the same records. The result must equal a from-scratch analysis, and
+// every defuse arena the passes checked out must be returned exactly
+// once (arenasOut comes back to its starting value). Run under -race it
+// also checks that the chunks build, and the layout copies, without
+// sharing writes.
+func TestReanalyzeParallelPlacementFallback(t *testing.T) {
+	base := perfProgram()
+	patched := base.ShallowClone()
+	mid := len(base.Routines) / 2
+	changed := -1
+	for ri, r := range base.Routines {
+		c := r.Clone()
+		for i := range c.Code {
+			in := &c.Code[i]
+			if in.IsBlockEnd() || in.Op == isa.OpHalt || in.Op.Format() == isa.FmtSets {
+				continue
+			}
+			if ri >= mid && changed < 0 {
+				// A direct call where straight-line code stood: two new
+				// PSG nodes, so this routine's record no longer fits.
+				*in = isa.Jsr(0)
+				changed = ri
+			} else if *in != isa.Mov(regset.T0, regset.T1) {
+				*in = isa.Mov(regset.T0, regset.T1)
+			} else {
+				*in = isa.Mov(regset.T1, regset.T0)
+			}
+			break
+		}
+		patched.Routines[ri] = c
+	}
+	if changed < 0 {
+		t.Fatal("no routine past the middle has straight-line code")
+	}
+	for _, workers := range []int{1, 4} {
+		out0 := arenasOut.Load()
+		prev, err := Analyze(base, WithParallelism(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc, err := Reanalyze(prev, patched, WithParallelism(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch, err := Analyze(patched, WithParallelism(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSameAnalysis(t, inc, scratch)
+		if inc.Incremental.DirtyRoutines != len(base.Routines) {
+			t.Fatalf("parallelism %d: %d dirty routines, want all %d", workers, inc.Incremental.DirtyRoutines, len(base.Routines))
+		}
+		if got := arenasOut.Load(); got != out0 {
+			t.Fatalf("parallelism %d: %d defuse arenas not returned (or returned twice)", workers, got-out0)
+		}
+	}
 }

@@ -159,6 +159,63 @@ func (g *PSG) computeSavedRestored(workers int, tr *obs.Tracer) time.Duration {
 	return d
 }
 
+// frameWork is one worker's frameScan scratch for scanFrames, pooled
+// and grown to the largest routine it has scanned.
+type frameWork struct {
+	deltas     []int64
+	flags      []uint8
+	work       []int32
+	callees    []int
+	callDeltas []int64
+	clobbers   []int64
+}
+
+var frameWorkPool = obs.NewPool(func() any { return new(frameWork) })
+
+// scanFrames computes the FrameFacts of routines ris of p on the worker
+// pool — the incremental re-analyses' per-dirty-routine §3.4 scans —
+// with one pooled frameWork per worker.
+func scanFrames(p *prog.Program, ris []int, workers int) []FrameFact {
+	facts := make([]FrameFact, len(ris))
+	ws := make([]*frameWork, min(par.Workers(workers), len(ris)))
+	par.ForEachWorker(len(ris), workers, func(w, i int) {
+		fw := ws[w]
+		if fw == nil {
+			fw = frameWorkPool.Get().(*frameWork)
+			ws[w] = fw
+		}
+		r := p.Routines[ris[i]]
+		n := len(r.Code)
+		if cap(fw.deltas) < n {
+			fw.deltas, fw.flags, fw.work = make([]int64, n), make([]uint8, n), make([]int32, n)
+		}
+		flags := fw.flags[:n]
+		clear(flags)
+		scratch := frameScratch{
+			deltas:       fw.deltas[:n],
+			flags:        flags,
+			work:         fw.work[:n:n],
+			callees:      fw.callees[:0],
+			callDeltas:   fw.callDeltas[:0],
+			bodyClobbers: fw.clobbers[:0],
+		}
+		var fi frameInfo
+		frameScan(&fi, r, &scratch)
+		f := FrameFact{Clean: fi.clean, HasIndirect: fi.hasIndirect}
+		if fi.clean {
+			f.LocalSaved = savedRestored(r, &fi)
+		}
+		facts[i] = f
+		fw.callees, fw.callDeltas, fw.clobbers = fi.callees, fi.callDeltas, fi.bodyClobbers
+	})
+	for _, fw := range ws {
+		if fw != nil {
+			frameWorkPool.Put(fw)
+		}
+	}
+	return facts
+}
+
 // FrameFact caches what the §3.4 frame passes learned about one
 // routine's body: whether it obeys the frame discipline frameScan
 // demands, whether it contains an indirect call, and the

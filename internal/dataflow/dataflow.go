@@ -39,6 +39,10 @@ type liveOpts struct {
 	// metrics, when non-nil, receives the solver's worklist traffic
 	// under liveness/* counter names.
 	metrics *obs.Metrics
+
+	// instrWalk forces the per-instruction block transfer even when the
+	// graph's DEF/UBD sets are populated (the differential tests' oracle).
+	instrWalk bool
 }
 
 // Option configures ComputeLiveness, in the same functional-options
@@ -105,8 +109,19 @@ func (o *liveOpts) instrXfer(in *isa.Instr, after regset.Set) regset.Set {
 }
 
 // blockXfer applies the backward transfer of a whole block to the
-// live-out set.
+// live-out set. With the graph's DEF/UBD sets populated (Figure 13's
+// initialization) a block visit is O(1): calls end blocks, so only the
+// terminator can carry a callee transfer, and the block's composed
+// transfer is UBD ∪ (X − DEF), where X is the live-out after that
+// callee transfer. Otherwise it walks the block's instructions.
 func (o *liveOpts) blockXfer(g *cfg.Graph, b *cfg.Block, out regset.Set) regset.Set {
+	if g.HasDefUBD() && !o.instrWalk {
+		if in := g.Terminator(b); in.Op == isa.OpJsr || in.Op == isa.OpJsrInd {
+			cu, cd := o.callXfer(in)
+			out = out.Minus(cd).Union(cu)
+		}
+		return b.UBD.Union(out.Minus(b.Def))
+	}
 	live := out
 	for i := b.End - 1; i >= b.Start; i-- {
 		live = o.instrXfer(&g.Routine.Code[i], live)
@@ -152,8 +167,8 @@ func ComputeLiveness(g *cfg.Graph, opts ...Option) *Liveness {
 	}
 	// Drive the backward problem in postorder: a block is queued after
 	// its successors, so each sweep is near-topological and loop bodies
-	// converge in few passes.
-	wl := NewOrderedWorklist(n, postorderPrio(g))
+	// converge in few passes. The numbering is computed once per graph.
+	wl := NewOrderedWorklist(n, g.Postorder())
 	for i := n - 1; i >= 0; i-- {
 		wl.Push(i)
 	}
@@ -210,53 +225,6 @@ func (lv *Liveness) EachLiveAfter(b *cfg.Block, fn func(instr int, after regset.
 // instruction at index instr of the routine.
 func (lv *Liveness) LiveBefore(instr int) regset.Set {
 	return lv.opts.instrXfer(&lv.graph.Routine.Code[instr], lv.LiveAfter(instr))
-}
-
-// postorderPrio numbers the graph's blocks in DFS postorder from the
-// entry blocks over successor arcs: every block numbers after the
-// blocks it can reach (up to back edges). Blocks unreachable from the
-// entries are numbered last, in ascending block order, so the numbering
-// is total and deterministic.
-func postorderPrio(g *cfg.Graph) []int32 {
-	n := len(g.Blocks)
-	prio := make([]int32, n)
-	for i := range prio {
-		prio[i] = -1
-	}
-	seen := make([]bool, n)
-	iter := make([]int32, n)
-	stack := make([]int32, 0, n)
-	post := int32(0)
-	for _, e := range g.EntryBlocks {
-		if seen[e] {
-			continue
-		}
-		seen[e] = true
-		stack = append(stack, int32(e))
-		for len(stack) > 0 {
-			b := stack[len(stack)-1]
-			succs := g.Blocks[b].Succs
-			if int(iter[b]) < len(succs) {
-				nxt := int32(succs[iter[b]])
-				iter[b]++
-				if !seen[nxt] {
-					seen[nxt] = true
-					stack = append(stack, nxt)
-				}
-				continue
-			}
-			stack = stack[:len(stack)-1]
-			prio[b] = post
-			post++
-		}
-	}
-	for i := 0; i < n; i++ {
-		if prio[i] < 0 {
-			prio[i] = post
-			post++
-		}
-	}
-	return prio
 }
 
 // Worklist is a node worklist with O(1) duplicate suppression, the

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"repro/internal/core"
+	"repro/internal/dataflow"
 	"repro/internal/isa"
 	"repro/internal/par"
 	"repro/internal/regset"
@@ -44,9 +45,11 @@ func eliminateDeadCode(a *core.Analysis, e *editSet, conservative bool, workers 
 // definitions are dead after it.
 func deadCodeRoutine(a *core.Analysis, e *editSet, ri int, conservative bool) int {
 	code := a.Prog.Routines[ri].Code
-	lv := a.SolveRoutineLiveness(ri)
+	var lv *dataflow.Liveness
 	if conservative {
 		lv = ConservativeLiveness(a, ri)
+	} else {
+		lv = a.SolveRoutineLiveness(ri)
 	}
 	deleted := 0
 	for _, b := range a.Graphs[ri].Blocks {

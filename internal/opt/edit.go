@@ -2,6 +2,7 @@ package opt
 
 import (
 	"repro/internal/isa"
+	"repro/internal/par"
 	"repro/internal/prog"
 )
 
@@ -16,13 +17,17 @@ type editSet struct {
 	base  *prog.Program
 	out   *prog.Program
 	dirty []bool
+
+	// workers sizes compact's worker pool.
+	workers int
 }
 
-func newEditSet(base *prog.Program) *editSet {
+func newEditSet(base *prog.Program, workers int) *editSet {
 	return &editSet{
-		base:  base,
-		out:   base.ShallowClone(),
-		dirty: make([]bool, len(base.Routines)),
+		base:    base,
+		out:     base.ShallowClone(),
+		dirty:   make([]bool, len(base.Routines)),
+		workers: workers,
 	}
 }
 
@@ -43,13 +48,28 @@ func (e *editSet) routine(ri int) *prog.Routine {
 // immediates (function pointers and computed-goto targets carry the
 // prog.AddrTag bit). It returns the number of instructions removed.
 func Compact(p *prog.Program) int {
+	return compactProgram(p, 1)
+}
+
+// compactProgram is Compact with the routines spread over workers.
+func compactProgram(p *prog.Program, workers int) int {
 	// An edit set over p itself with every routine already "cloned":
 	// compact then rewrites p's own routines.
-	e := &editSet{base: p, out: p, dirty: make([]bool, len(p.Routines))}
+	e := &editSet{base: p, out: p, dirty: make([]bool, len(p.Routines)), workers: workers}
 	for ri := range e.dirty {
 		e.dirty[ri] = true
 	}
 	return e.compact()
+}
+
+// cloneProgram is p.Clone with the routines deep-copied on the worker
+// pool.
+func cloneProgram(p *prog.Program, workers int) *prog.Program {
+	c := p.ShallowClone()
+	par.ForEach(len(c.Routines), workers, func(ri int) {
+		c.Routines[ri] = c.Routines[ri].Clone()
+	})
+	return c
 }
 
 // compact removes the nops a pass left in its edited routines,
@@ -61,13 +81,15 @@ func Compact(p *prog.Program) int {
 // removed.
 func (e *editSet) compact() int {
 	// shifted[ri] is the old→new index map of a compacted routine, nil
-	// when ri's indices did not move.
+	// when ri's indices did not move. Each routine is filtered by one
+	// worker, which writes only its own slots.
 	shifted := make([][]int, len(e.out.Routines))
-	removed := 0
-	for ri, r := range e.out.Routines {
+	removedBy := make([]int, len(e.out.Routines))
+	par.ForEach(len(e.out.Routines), e.workers, func(ri int) {
 		if !e.dirty[ri] {
-			continue
+			return
 		}
+		r := e.out.Routines[ri]
 		idx := make([]int, len(r.Code)+1)
 		n := 0
 		for i := range r.Code {
@@ -78,9 +100,9 @@ func (e *editSet) compact() int {
 		}
 		idx[len(r.Code)] = n
 		if n == len(r.Code) {
-			continue
+			return
 		}
-		removed += len(r.Code) - n
+		removedBy[ri] = len(r.Code) - n
 		shifted[ri] = idx
 		// The routine is writable (a private clone, or Compact's own
 		// program): filter in place.
@@ -104,7 +126,8 @@ func (e *editSet) compact() int {
 		for en := range r.Entries {
 			r.Entries[en] = idx[r.Entries[en]]
 		}
-	}
+	})
+	removed := sum(removedBy)
 	if removed == 0 {
 		return 0
 	}
@@ -112,8 +135,9 @@ func (e *editSet) compact() int {
 	// targets) may point into a compacted routine from anywhere; the
 	// immediates still encode pre-compaction indices, so the idx maps
 	// apply uniformly — including to Ldas inside routines compacted
-	// above.
-	for ri := range e.out.Routines {
+	// above. A routine is cloned (e.routine) only by the worker scanning
+	// it.
+	par.ForEach(len(e.out.Routines), e.workers, func(ri int) {
 		r := e.out.Routines[ri]
 		for i := range r.Code {
 			in := &r.Code[i]
@@ -132,6 +156,6 @@ func (e *editSet) compact() int {
 			w.Code[i].Imm = prog.CodeAddr(tri, ni)
 			r = w
 		}
-	}
+	})
 	return removed
 }

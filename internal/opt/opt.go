@@ -136,8 +136,8 @@ func optimize(p *prog.Program, opts Options, analyzeResult bool) (*prog.Program,
 	// Pre-existing nops are folded away once, before the first
 	// analysis, so the warm-start loop only ever compacts its own edit
 	// sets.
-	cur := p.Clone()
-	Compact(cur)
+	cur := cloneProgram(p, workers)
+	compactProgram(cur, workers)
 	a, err := core.Analyze(cur, core.WithConfig(opts.Analysis))
 	if err != nil {
 		return nil, nil, nil, err
@@ -193,7 +193,7 @@ func optimize(p *prog.Program, opts Options, analyzeResult bool) (*prog.Program,
 			if err := settle(); err != nil {
 				return nil, nil, nil, err
 			}
-			e := newEditSet(a.Prog)
+			e := newEditSet(a.Prog, workers)
 			n := ps.run(a, e)
 			if n == 0 {
 				continue

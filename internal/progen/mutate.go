@@ -3,6 +3,7 @@ package progen
 import (
 	"fmt"
 
+	"repro/internal/cfg"
 	"repro/internal/isa"
 	"repro/internal/prog"
 )
@@ -10,7 +11,8 @@ import (
 // Mutation names one kind of program edit Mutate can apply. The kinds
 // model the edits an incremental optimizer sees between analysis runs:
 // a routine body changing without its call structure, a call appearing
-// or disappearing, and a new routine arriving.
+// or disappearing, a new routine arriving, a block emptied by dead-code
+// elimination, and an exit changing kind.
 type Mutation int
 
 const (
@@ -37,6 +39,21 @@ const (
 	// incremental diffing assumes.
 	MutAddRoutine
 
+	// MutEmptyBlock deletes every instruction of one straight-line
+	// block (a block that ends by falling through), the way dead-code
+	// elimination plus compaction empties one: branch targets, jump
+	// tables, entries and code-address immediates into the routine are
+	// remapped, and the blocks after it are renumbered while the PSG
+	// keeps its shape. Falls back to MutBodyEdit when no routine has
+	// such a block.
+	MutEmptyBlock
+
+	// MutExitKind changes an exit's kind in place: an indirect jump
+	// with unknown targets becomes a ret, or a ret becomes a halt. The
+	// PSG keeps its node count but the exit's kind moves. Falls back to
+	// MutBodyEdit when the program has neither.
+	MutExitKind
+
 	// NumMutations is the number of mutation kinds.
 	NumMutations
 )
@@ -51,6 +68,10 @@ func (m Mutation) String() string {
 		return "remove-call"
 	case MutAddRoutine:
 		return "add-routine"
+	case MutEmptyBlock:
+		return "empty-block"
+	case MutExitKind:
+		return "exit-kind"
 	}
 	return fmt.Sprintf("mutation(%d)", int(m))
 }
@@ -61,8 +82,9 @@ func (m Mutation) String() string {
 // mutated afterwards while the mutant is live. The same (p,
 // seed) pair always yields the same mutant, the mutant always passes
 // prog.Validate, and at least one routine's body hash differs from p's
-// (or, for MutAddRoutine, the routine table grows). Instruction counts
-// of existing routines never change: edits replace instructions in
+// (or, for MutAddRoutine, the routine table grows). Only MutEmptyBlock
+// changes an existing routine's instruction count, and it remaps every
+// index into the routine; the other kinds replace instructions in
 // place, so entry points, branch targets and jump tables stay valid.
 func Mutate(p *prog.Program, seed uint64) (*prog.Program, string) {
 	r := newRng(seed)
@@ -91,6 +113,10 @@ func mutate(p *prog.Program, r *rng, kind Mutation) (*prog.Program, string) {
 		desc = mutRemoveCall(m, p, r)
 	case MutAddRoutine:
 		desc = mutAddRoutine(m, p, r)
+	case MutEmptyBlock:
+		desc = mutEmptyBlock(m, p, r)
+	case MutExitKind:
+		desc = mutExitKind(m, p, r)
 	default:
 		desc = mutBodyEdit(m, p, r)
 	}
@@ -243,4 +269,100 @@ func mutAddRoutine(p, base *prog.Program, r *rng) string {
 		return fmt.Sprintf("add-routine %s, called from %s@%d", name, p.Routines[ri].Name, idx)
 	}
 	return fmt.Sprintf("add-routine %s (unreachable)", name)
+}
+
+func mutEmptyBlock(p, base *prog.Program, r *rng) string {
+	// Reservoir-sample a block that falls through to its successor,
+	// holds only straight-line instructions and is not an entrance.
+	ri, lo, hi, n := -1, 0, 0, 0
+	for i := range p.Routines {
+		g := cfg.Build(p, i)
+		entry := make(map[int]bool, len(p.Routines[i].Entries))
+		for _, e := range p.Routines[i].Entries {
+			entry[e] = true
+		}
+		for _, b := range g.Blocks {
+			if b.Term != cfg.TermFall || entry[b.Start] || b.End >= len(p.Routines[i].Code) {
+				continue
+			}
+			ok := true
+			for j := b.Start; j < b.End && ok; j++ {
+				ok = editable(&p.Routines[i].Code[j])
+			}
+			if !ok {
+				continue
+			}
+			n++
+			if r.intn(n) == 0 {
+				ri, lo, hi = i, b.Start, b.End
+			}
+		}
+	}
+	if ri < 0 {
+		return mutBodyEdit(p, base, r)
+	}
+	k := hi - lo
+	// idx maps an old instruction index to its new one: the deleted
+	// block's instructions map to the instruction that followed it.
+	idx := func(i int) int {
+		switch {
+		case i < lo:
+			return i
+		case i < hi:
+			return lo
+		}
+		return i - k
+	}
+	rt := editRoutine(p, base, ri)
+	rt.Code = append(rt.Code[:lo:lo], rt.Code[hi:]...)
+	for i := range rt.Code {
+		if in := &rt.Code[i]; in.Op.IsBranch() && in.Op != isa.OpJmp {
+			in.Target = idx(in.Target)
+		}
+	}
+	for _, t := range rt.Tables {
+		for j := range t {
+			t[j] = idx(t[j])
+		}
+	}
+	for e := range rt.Entries {
+		rt.Entries[e] = idx(rt.Entries[e])
+	}
+	for i := range p.Routines {
+		for j := range p.Routines[i].Code {
+			in := &p.Routines[i].Code[j]
+			if in.Op != isa.OpLda {
+				continue
+			}
+			if tri, tinstr, ok := prog.DecodeAddr(in.Imm); ok && tri == ri && idx(tinstr) != tinstr {
+				editRoutine(p, base, i).Code[j].Imm = prog.CodeAddr(ri, idx(tinstr))
+			}
+		}
+	}
+	return fmt.Sprintf("empty-block %s@%d..%d", rt.Name, lo, hi)
+}
+
+func mutExitKind(p, base *prog.Program, r *rng) string {
+	// Unknown-target jumps are rare next to rets, so the two edits are
+	// drawn with equal odds whenever the program has both.
+	isJmp := func(in *isa.Instr) bool { return in.Op == isa.OpJmp && in.Table == isa.UnknownTable }
+	isRet := func(in *isa.Instr) bool { return in.Op == isa.OpRet }
+	first, second := isJmp, isRet
+	if r.intn(2) == 0 {
+		first, second = isRet, isJmp
+	}
+	ri, idx := pickEditable(p, r, first)
+	if ri < 0 {
+		ri, idx = pickEditable(p, r, second)
+	}
+	if ri < 0 {
+		return mutBodyEdit(p, base, r)
+	}
+	rt := editRoutine(p, base, ri)
+	if rt.Code[idx].Op == isa.OpRet {
+		rt.Code[idx] = isa.Halt()
+		return fmt.Sprintf("exit-kind %s@%d ret -> halt", rt.Name, idx)
+	}
+	rt.Code[idx] = isa.Ret()
+	return fmt.Sprintf("exit-kind %s@%d jmp ? -> ret", rt.Name, idx)
 }
